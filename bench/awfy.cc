@@ -43,49 +43,66 @@ main()
         const int64_t n = smokeMode() ? b.smokeN : b.benchN;
         const int64_t want = b.native(n);
         const emvm::Image img = apps::awfyImage(b.name);
-        double ms[3] = {0, 0, 0};
         // Deliberately NOT measure(): the smoke clamp (one un-warmed
         // iteration) is fine for metrics gated relatively, but the awfy
-        // ratio metrics face hard ceilings, and a cold single shot swings
-        // the per-kernel ratios ~2x run to run. The smoke problem sizes
-        // are a few milliseconds, so a warmed best-of-5 still keeps the
-        // whole smoke bench under half a second.
-        const int runs = 5;
+        // ratio metrics face hard ceilings. The smoke problem sizes are a
+        // few milliseconds, so a host stall or speed drift that lands on
+        // one tier's runs swings its ratio by half. So the tiers run in
+        // interleaved rounds — base, fused and trace back to back, the
+        // leading tier rotating — and each ratio is the median over
+        // rounds of that round's tier/base time: a drift hits all three
+        // tiers of a round alike, and a stall only a minority of rounds.
+        // The whole smoke bench stays well under a second.
+        const int rounds = 11;
+        Series runs[3], vsBase[3];
+        auto once = [&](int t, bool count) {
+            emvm::Vm vm(img, tiers[t]);
+            if (!vm.start("run", {n}) || vm.run() != emvm::RunState::Done ||
+                vm.exitCode() != want) {
+                std::fprintf(stderr,
+                             "FAIL: %s on %s tier: got %lld want %lld "
+                             "(%s)\n",
+                             b.name.c_str(), emvm::tierName(tiers[t]),
+                             static_cast<long long>(vm.exitCode()),
+                             static_cast<long long>(want),
+                             vm.trapMessage().c_str());
+                ok = false;
+            }
+            if (!count)
+                return;
+            if (tiers[t] == emvm::Tier::Fused) {
+                fusedDispatches += vm.stats().fusedDispatches;
+                fusedRetired += vm.instructionsRetired();
+            } else if (tiers[t] == emvm::Tier::Trace) {
+                tracesEntered += vm.stats().tracesEntered;
+                traceDeopts += vm.stats().traceDeopts;
+            }
+        };
+        // Warmup; the counters come from this one run per tier, so they
+        // do not scale with the round count.
+        for (int t = 0; t < 3; t++)
+            once(t, true);
+        for (int r = 0; r < rounds; r++) {
+            double round_ms[3];
+            for (int k = 0; k < 3; k++) {
+                int t = (r + k) % 3;
+                round_ms[t] = timeMs([&] { once(t, false); });
+                runs[t].add(round_ms[t]);
+            }
+            for (int t = 1; t < 3; t++)
+                vsBase[t].add(round_ms[0] > 0 ? round_ms[t] / round_ms[0]
+                                              : 1.0);
+        }
+        double ms[3];
         for (int t = 0; t < 3; t++) {
-            Series s;
-            auto once = [&] {
-                emvm::Vm vm(img, tiers[t]);
-                if (!vm.start("run", {n}) ||
-                    vm.run() != emvm::RunState::Done ||
-                    vm.exitCode() != want) {
-                    std::fprintf(stderr,
-                                 "FAIL: %s on %s tier: got %lld want %lld "
-                                 "(%s)\n",
-                                 b.name.c_str(), emvm::tierName(tiers[t]),
-                                 static_cast<long long>(vm.exitCode()),
-                                 static_cast<long long>(want),
-                                 vm.trapMessage().c_str());
-                    ok = false;
-                }
-                if (tiers[t] == emvm::Tier::Fused) {
-                    fusedDispatches += vm.stats().fusedDispatches;
-                    fusedRetired += vm.instructionsRetired();
-                } else if (tiers[t] == emvm::Tier::Trace) {
-                    tracesEntered += vm.stats().tracesEntered;
-                    traceDeopts += vm.stats().traceDeopts;
-                }
-            };
-            once(); // warmup
-            for (int i = 0; i < runs; i++)
-                s.add(timeMs(once));
-            ms[t] = s.min();
+            ms[t] = runs[t].min();
             recordMetric("awfy",
                          "awfy_" + b.name + "_" +
                              emvm::tierName(tiers[t]) + "_ms",
                          ms[t], "ms");
         }
-        double fusedRatio = ms[0] > 0 ? ms[1] / ms[0] : 1.0;
-        double traceRatio = ms[0] > 0 ? ms[2] / ms[0] : 1.0;
+        double fusedRatio = vsBase[1].median();
+        double traceRatio = vsBase[2].median();
         recordMetric("awfy", "awfy_" + b.name + "_fused_vs_base",
                      fusedRatio, "ratio");
         recordMetric("awfy", "awfy_" + b.name + "_trace_vs_base",

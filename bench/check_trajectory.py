@@ -58,9 +58,10 @@ RATIO_CEILINGS = {
     "http_notifies_per_request": 8.0,
     # emvm execution-tier acceptance lines (bench_awfy). These are wall
     # time ratios of tiered runs against the base interpreter measured in
-    # the same process, so machine speed cancels out; smoke runs are
-    # warmed best-of-5 (see bench/awfy.cc), which holds run-to-run spread
-    # to a few percent. The geomean trace ceiling of 0.5 IS the tentpole
+    # the same process, so machine speed cancels out; each ratio is the
+    # median over eleven interleaved rounds of that round's tier/base
+    # time (see bench/awfy.cc), which holds run-to-run spread to a few
+    # percent. The geomean trace ceiling of 0.5 IS the tentpole
     # acceptance criterion — the fused+trace tiers must keep a >=2x
     # geomean speedup over base. Smoke-tier measurements sit at
     # 0.41-0.45 geomean (full tier: ~0.42), so the ceiling carries

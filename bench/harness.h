@@ -56,6 +56,16 @@ struct Series
                    ? 0
                    : *std::min_element(samples.begin(), samples.end());
     }
+    double
+    median() const
+    {
+        if (samples.empty())
+            return 0;
+        std::vector<double> v = samples;
+        std::sort(v.begin(), v.end());
+        size_t m = v.size() / 2;
+        return v.size() % 2 ? v[m] : (v[m - 1] + v[m]) / 2;
+    }
 };
 
 /**
@@ -149,6 +159,38 @@ recordHistogram(const std::string &bench, const std::string &prefix,
                  "us");
     recordMetric(bench, prefix + ".count", static_cast<double>(h.count),
                  "calls");
+}
+
+/**
+ * The ring wake-up window's informational rows for one leg, from kernel
+ * stats taken around it: batches a window caught (doorbell messages
+ * avoided) and empty polling passes, both per ring call, and the share
+ * of the leg's wall time the main loop spent polling on a window's
+ * account alone. Unit `ratio`, so check_trajectory.py reports them
+ * without a gate.
+ */
+inline void
+recordRingWindow(const std::string &bench, const std::string &prefix,
+                 const kernel::KernelStats &before,
+                 const kernel::KernelStats &after, double wall_ms)
+{
+    double calls = static_cast<double>(after.ringSyscallCount -
+                                       before.ringSyscallCount);
+    auto per_call = [calls](uint64_t n) {
+        return calls > 0 ? static_cast<double>(n) / calls : 0.0;
+    };
+    recordMetric(bench, prefix + "_window_catches_per_call",
+                 per_call(after.ringPollCatches - before.ringPollCatches),
+                 "ratio");
+    recordMetric(bench, prefix + "_window_passes_per_call",
+                 per_call(after.ringPollPasses - before.ringPollPasses),
+                 "ratio");
+    recordMetric(bench, prefix + "_window_poll_share",
+                 wall_ms > 0 ? static_cast<double>(after.ringPollUs -
+                                                   before.ringPollUs) /
+                                   (wall_ms * 1000.0)
+                             : 0.0,
+                 "ratio");
 }
 
 /** Repeat fn `warmup + runs` times; collect the timed runs. */

@@ -603,6 +603,7 @@ main()
                      "calls");
         recordMetric("pipe_micro", "server_sendfile_bytes", sf_bytes,
                      "bytes");
+        recordRingWindow("pipe_micro", "server", before, after, ms);
     }
 
     // Snapshot the data-plane latency histograms before the sync leg

@@ -123,13 +123,19 @@ registerSysbench()
                               64, sysbenchWritevMain, nullptr});
 }
 
-/** Per-call microseconds: run with N calls and 0 calls, difference/N. */
+/**
+ * Per-call microseconds: run with N calls and 0 calls, difference/N. Best
+ * of three runs each way at the smoke tier too: one run's process
+ * start-up jitter, spread over the smoke tier's 50 calls, swings the
+ * per-call figure by tens of µs (even below zero) — past the trajectory
+ * gate's 4x on the ring rows.
+ */
 double
 perCallUs(Browsix &bx, const std::string &exe, int n,
           const std::vector<std::string> &extra = {})
 {
     double with = 1e9, without = 1e9;
-    const int reps = smokeMode() ? 1 : 3;
+    const int reps = 3;
     for (int rep = 0; rep < reps; rep++) {
         std::vector<std::string> argv = {exe, std::to_string(n)};
         argv.insert(argv.end(), extra.begin(), extra.end());
@@ -200,10 +206,14 @@ main()
     double sync_us = perCallUs(bx, "/usr/bin/sysbench-sync", kCalls);
     const int kBatches[] = {1, 8, 64};
     double ring_us[3];
-    for (int i = 0; i < 3; i++) {
-        ring_us[i] = perCallUs(bx, "/usr/bin/sysbench-ring", kCalls,
-                               {std::to_string(kBatches[i])});
-    }
+    kernel::KernelStats ring_before = bx.kernel().stats();
+    double ring_ms = timeMs([&]() {
+        for (int i = 0; i < 3; i++) {
+            ring_us[i] = perCallUs(bx, "/usr/bin/sysbench-ring", kCalls,
+                                   {std::to_string(kBatches[i])});
+        }
+    });
+    kernel::KernelStats ring_after = bx.kernel().stats();
 
     std::printf("syscall-path microbenchmarks (Chrome 2016 profile):\n\n");
     std::printf("%-36s | %12s\n", "operation", "per-op us");
@@ -241,6 +251,8 @@ main()
                          "_us",
                      ring_us[i]);
     }
+    recordRingWindow("syscall_micro", "ring", ring_before, ring_after,
+                     ring_ms);
 
     // ---- batched coreutils traffic: els -lR, serial vs statBatch ----
     // The stat-heavy `ls -lR` hot path over a staged tree. --serial pays

@@ -4,21 +4,25 @@
  *
  * poll re-marshals its whole PollFd set through the heap on every call; a
  * server's interest set is stable, so `epoll_create` materialises it as a
- * descriptor instead. EpollFile only owns the interest map (fd → event
- * mask); readiness evaluation and parking live with the epoll_wait
- * syscall handler, which re-arms the registered objects' one-shot
- * `watchReadable`/`watchWritable` watchers level-triggered — the same
- * hooks the poll trap parks against (see docs/ARCHITECTURE.md).
+ * descriptor instead. EpollFile owns the interest map (fd → event mask)
+ * and a weak reference to the wait its parked calls share; readiness
+ * evaluation and parking live with the epoll_wait syscall handler, which
+ * re-arms the registered objects' one-shot `KFile::watch` watchers
+ * level-triggered — the same hooks the poll trap parks against (see
+ * docs/ARCHITECTURE.md).
  */
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "kernel/file.h"
 
 namespace browsix {
 namespace kernel {
+
+struct ReadinessWait;
 
 class EpollFile : public KFile
 {
@@ -44,8 +48,14 @@ class EpollFile : public KFile
 
     const std::map<int, int32_t> &interest() const { return interest_; }
 
+    /** The readiness wait the epoll_wait calls parked on this instance
+     * share, so each watched object carries at most one watcher per
+     * direction for the instance. Weak: the wait's watchers own it. */
+    std::weak_ptr<ReadinessWait> &parkedWait() { return parked_; }
+
   private:
     std::map<int, int32_t> interest_; ///< fd → requested POLL*_ mask
+    std::weak_ptr<ReadinessWait> parked_;
 };
 
 using EpollFilePtr = std::shared_ptr<EpollFile>;

@@ -1,7 +1,41 @@
 #include "kernel/file.h"
 
+#include <atomic>
+
 namespace browsix {
 namespace kernel {
+
+uint64_t
+WatcherList::add(std::function<void()> fn)
+{
+    // Ids are unique across every list (main-loop objects of every
+    // kernel in the process), so a canceller needs no list identity.
+    static std::atomic<uint64_t> next{0};
+    uint64_t id = ++next;
+    fns_.emplace_back(id, std::move(fn));
+    return id;
+}
+
+bool
+WatcherList::cancel(uint64_t id)
+{
+    for (auto it = fns_.begin(); it != fns_.end(); ++it) {
+        if (it->first == id) {
+            fns_.erase(it);
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+WatcherList::fire()
+{
+    auto fns = std::move(fns_);
+    fns_.clear();
+    for (auto &e : fns)
+        e.second();
+}
 
 void
 RegularFile::read(size_t maxlen, bfs::DataCb cb)

@@ -28,6 +28,29 @@ constexpr int SEEK_SET_ = 0;
 constexpr int SEEK_CUR_ = 1;
 constexpr int SEEK_END_ = 2;
 
+/**
+ * One-shot readiness watchers (the poll/epoll_wait parking hook). Every
+ * registration gets an id unique across all lists, so a parked call that
+ * finishes can cancel what it armed on other objects and leave nothing
+ * behind on a descriptor that never became ready. Main-loop only.
+ */
+class WatcherList
+{
+  public:
+    /** Register fn; returns its id (never 0). */
+    uint64_t add(std::function<void()> fn);
+    /** Drop one registration; false when id is not (or no longer) here. */
+    bool cancel(uint64_t id);
+    /** Run every registration once and clear the list (fn may add or
+     * cancel registrations; those apply to the next fire). */
+    void fire();
+    bool empty() const { return fns_.empty(); }
+    size_t size() const { return fns_.size(); }
+
+  private:
+    std::vector<std::pair<uint64_t, std::function<void()>>> fns_;
+};
+
 class KFile
 {
   public:
@@ -147,6 +170,23 @@ class KFile
      * copied counters report the path the data actually took.
      */
     virtual bool spanIoDirect() const { return false; }
+
+    /**
+     * One-shot readiness watcher: fn fires once, when the file turns
+     * readable (`writable` false) or writable, immediately when it
+     * already is. Watchers must tolerate firing spuriously late: the
+     * poller re-evaluates readiness itself. Returns an id for unwatch(),
+     * or 0 when nothing stayed registered (fn already ran, or the file
+     * never blocks — the default).
+     */
+    virtual uint64_t watch(bool writable, std::function<void()> fn)
+    {
+        (void)writable;
+        (void)fn;
+        return 0;
+    }
+    /** Cancel a registration from watch(); unknown ids are ignored. */
+    virtual void unwatch(uint64_t id) { (void)id; }
 
     // --- descriptor reference counting ---
     void ref() { refs_++; }

@@ -14,7 +14,10 @@ namespace kernel {
 
 Kernel::Kernel(jsvm::Browser &browser, bfs::VfsPtr vfs,
                net::NetBackendPtr net)
-    : browser_(browser), vfs_(std::move(vfs)),
+    : browser_(browser),
+      ringPollWindowUs_(
+          static_cast<int64_t>(browser.costs().profile().postMessageUs)),
+      vfs_(std::move(vfs)),
       sched_(std::make_shared<Scheduler>()),
       net_(net ? std::move(net)
                : std::make_shared<net::LoopbackBackend>())
@@ -753,6 +756,35 @@ Kernel::ringNotify(Task &t)
     jsvm::Atomics::store(*t.heap, ring.waitOff(), 1);
     jsvm::Atomics::notify(*t.heap, ring.waitOff());
     stats_.ringNotifies++;
+    if (ringPollWindowUs_ > 0) {
+        t.ring.pollDeadlineUs = jsvm::nowUs() + ringPollWindowUs_;
+        t.ring.pollPassesLeft = ringPollWindowUs_ * kRingPollPassesPerUs;
+    }
+}
+
+void
+Kernel::ringArmForWake(Task &t)
+{
+    if (ringPollWindowUs_ <= 0)
+        return; // zero-length window: the producer rings as before
+    sys::RingLayout ring(static_cast<uint32_t>(t.ring.off),
+                         static_cast<uint32_t>(t.ring.entries));
+    // Armed means a queued pass will read the tail: if one is queued
+    // already, the window the coming notify reopens keeps it polling.
+    if (jsvm::Atomics::load(*t.heap, ring.drainPendingOff()) == 1)
+        return;
+    jsvm::Atomics::store(*t.heap, ring.drainPendingOff(), 1);
+    t.ring.pollStartUs = jsvm::nowUs(); // this pass is the window's alone
+    scheduleRingDrain(t.pid, 0);
+}
+
+void
+Kernel::ringPollStop(Task &t, int64_t now)
+{
+    if (t.ring.pollStartUs < 0)
+        return;
+    stats_.ringPollUs += static_cast<uint64_t>(now - t.ring.pollStartUs);
+    t.ring.pollStartUs = -1;
 }
 
 void
@@ -828,11 +860,17 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
         // drain and found the SQ empty is not a batch. One notify per
         // batch: wake the waiter for the completions that landed (and
         // for any SQ slots a backpressure-parked producer is waiting on).
+        int64_t now = jsvm::nowUs();
         stats_.ringBatchesDrained++;
         stats_.ringBatchDepth.record(consumed);
-        stats_.ringDrainUs.record(
-            static_cast<uint64_t>(jsvm::nowUs() - pass_start_us));
+        stats_.ringDrainUs.record(static_cast<uint64_t>(now - pass_start_us));
         t->ring.idleHintPasses = 0;
+        if (t->ring.pollStartUs >= 0) {
+            // Only the wake-up window kept this pass queued: without it
+            // the pipeline had disarmed and this batch rang a doorbell.
+            stats_.ringPollCatches++;
+            ringPollStop(*t, now);
+        }
         ringNotify(*t);
         // Adaptive doorbell coalescing: keep drainPending armed and
         // queue a follow-up pass, so a bursty producer's next batch
@@ -868,6 +906,27 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
         scheduleRingDrain(pid, 0);
         return;
     }
+    // Wake-up window: a process this kernel woke a moment ago needs a
+    // pool-thread wake-up plus its handler before it publishes again.
+    // Stay armed (polling) for at most the doorbell message that
+    // disarming would cost it, counted in time and in passes; the window
+    // closes early once the process re-arms its wait word, i.e. parked
+    // again with nothing published.
+    int64_t now = jsvm::nowUs();
+    if (t->ring.pollPassesLeft > 0 &&
+        (now >= t->ring.pollDeadlineUs ||
+         jsvm::Atomics::load(*heap, ring.waitOff()) == 0))
+        t->ring.pollPassesLeft = 0; // ran out, or the process parked
+    if (t->ring.pollPassesLeft > 0) {
+        t->ring.pollPassesLeft--;
+        if (t->ring.pollStartUs < 0)
+            t->ring.pollStartUs = now;
+        stats_.ringPollPasses++;
+        std::this_thread::yield(); // as above: the producer needs the CPU
+        scheduleRingDrain(pid, 0);
+        return;
+    }
+    ringPollStop(*t, now);
     t->ring.idleHintPasses = 0;
     // Idle: disarm, then re-check the tail. A producer publishing
     // between the loop's empty check and this store saw drainPending

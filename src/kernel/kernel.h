@@ -68,6 +68,14 @@ struct KernelStats
     /// drainPending header word stays armed and producers skip the
     /// doorbell message entirely (see syscall_ring.h).
     uint64_t ringDrainsScheduled = 0;
+    /// Wake-up window (see Task::RingState): empty drain passes the
+    /// kernel spent polling a just-woken process's SQ, batches such a
+    /// pass caught (each one a doorbell message the process did not
+    /// post), and the wall-clock µs the pipeline stayed armed on the
+    /// window's account alone.
+    uint64_t ringPollPasses = 0;
+    uint64_t ringPollCatches = 0;
+    uint64_t ringPollUs = 0;
     /// SQEs rejected at drain time because a heap-offset argument fell
     /// outside the personality heap (completed with -EFAULT, never
     /// dispatched to a handler).
@@ -237,6 +245,12 @@ class Kernel
      * (wait4Parked, epollWaitsParked, sendfileBytes, ...). */
     KernelStats &statsMut() { return stats_; }
 
+    /// Wake-up window pass budget per µs of window. A pass re-posts
+    /// itself and yields, which takes far longer than 1/16 µs, so under
+    /// a running clock the deadline always ends the window first; under
+    /// a frozen virtual clock (jsvm::TestClock) the budget does.
+    static constexpr int64_t kRingPollPassesPerUs = 16;
+
     /// Pid allocation wraps past this; the allocator then skips pids
     /// still present in the table (Linux's PID_MAX_LIMIT).
     static constexpr int kMaxPid = 4 * 1024 * 1024;
@@ -280,8 +294,17 @@ class Kernel
      */
     void scheduleRingDrain(int pid, int idle_grace);
     /** Wake a ring waiter (wait word := 1 + notify). Used at end-of-batch
-     * and for completions that land outside a drain. */
+     * and for completions that land outside a drain. Opens the task's
+     * wake-up window (Task::RingState::pollDeadlineUs). */
     void ringNotify(Task &t);
+    /**
+     * Before a wake-up outside any drain pass (a deferred CQE): arm
+     * drainPending and queue one pass unless one is already queued, so
+     * the batch the woken process publishes inside the window skips the
+     * doorbell message. It must precede the notify: a woken process may
+     * publish at once. A no-op when the window is zero-length.
+     */
+    void ringArmForWake(Task &t);
     int doConnect(Task *client_task, SocketFile &client, int port);
     /**
      * Deferral-protocol connect: like doConnect, but when the listener's
@@ -334,7 +357,13 @@ class Kernel
      * the table after wraparound), or -EAGAIN when the table is full. */
     int allocPid();
 
+    /** Leave the window-only polling state, charging its time. */
+    void ringPollStop(Task &t, int64_t now);
+
     jsvm::Browser &browser_;
+    /// Wake-up window length: the cost of the doorbell message it saves
+    /// (BrowserProfile::postMessageUs of the booted profile).
+    int64_t ringPollWindowUs_;
     bfs::VfsPtr vfs_;
     Bootstrapper bootstrapper_;
     KernelStats stats_;

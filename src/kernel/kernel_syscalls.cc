@@ -22,6 +22,108 @@
 namespace browsix {
 namespace kernel {
 
+/**
+ * Parked poll and epoll_wait calls: the readiness leg of the deferral
+ * protocol. A poll call parks on a wait of its own; the epoll_wait calls
+ * parked on one epoll instance share that instance's wait. The watchers a
+ * wait arms on pipes and sockets hold it; it holds its calls and the ids
+ * of what it armed, never itself. Every wake re-evaluates the calls and
+ * re-arms only what fired, so at most one watcher per (wait, object,
+ * direction) is armed. Once its last call finishes it cancels the rest,
+ * releasing the calls and the guest heaps they pin, and leaving nothing on
+ * descriptors that never became ready.
+ */
+struct ReadinessWait : std::enable_shared_from_this<ReadinessWait>
+{
+    struct Call
+    {
+        /// Evaluates the call's set; true once it is finished (completed,
+        /// or its task died — a late CQE for a dead task is a no-op).
+        std::function<bool()> attempt;
+        /// Arms watchers for the set by calling watch() per descriptor.
+        std::function<void(ReadinessWait &)> arm;
+    };
+
+    /** Park one more call, whose attempt() just came up empty. */
+    void
+    park(Call call)
+    {
+        calls_.push_back(std::move(call));
+        armAll();
+    }
+
+    /** Watch f for the directions a poll mask asks about. */
+    void
+    watch(const KFilePtr &f, int16_t mask)
+    {
+        if (mask & sys::POLLOUT_)
+            watchOne(f, true);
+        if ((mask & sys::POLLIN_) || !(mask & sys::POLLOUT_))
+            watchOne(f, false);
+    }
+
+  private:
+    using Armed = std::map<std::weak_ptr<KFile>, uint64_t,
+                           std::owner_less<std::weak_ptr<KFile>>>;
+
+    void
+    armAll()
+    {
+        arming_ = true;
+        for (Call &c : calls_)
+            c.arm(*this);
+        arming_ = false;
+    }
+
+    void
+    watchOne(const KFilePtr &f, bool writable)
+    {
+        Armed &slot = armed_[writable];
+        std::weak_ptr<KFile> wf = f;
+        if (slot.count(wf))
+            return; // still armed from an earlier pass or call
+        auto self = shared_from_this();
+        uint64_t id = f->watch(writable, [self, wf, writable]() {
+            self->wake(wf, writable);
+        });
+        if (id)
+            slot[wf] = id;
+    }
+
+    void
+    wake(const std::weak_ptr<KFile> &wf, bool writable)
+    {
+        armed_[writable].erase(wf);
+        // A watcher firing while we arm found its object ready at once,
+        // although the evaluation that preceded the arming did not: the
+        // mask asks for nothing that readiness can satisfy. Re-running
+        // it here would only recurse.
+        if (arming_ || calls_.empty())
+            return;
+        std::vector<Call> waiting;
+        for (Call &c : calls_) {
+            if (!c.attempt())
+                waiting.push_back(std::move(c));
+        }
+        calls_ = std::move(waiting);
+        if (!calls_.empty()) {
+            armAll();
+            return;
+        }
+        for (Armed &slot : armed_) {
+            for (auto &[f, id] : slot) {
+                if (KFilePtr live = f.lock())
+                    live->unwatch(id);
+            }
+            slot.clear();
+        }
+    }
+
+    std::vector<Call> calls_;
+    Armed armed_[2]; ///< [0] readable, [1] writable watches
+    bool arming_ = false;
+};
+
 namespace {
 
 using Handler = std::function<void(Kernel &, Task &, SyscallCtxPtr)>;
@@ -1311,16 +1413,8 @@ sysPoll(Kernel &k, Task &t, SyscallCtxPtr ctx)
         return;
 
     // Park: one-shot watchers on every waitable descriptor, sharing one
-    // wake that re-evaluates the set. registerAll is self-referential
-    // (the jsvm closure-pump idiom) so a spurious wake can re-arm.
-    auto registerAll = std::make_shared<std::function<void()>>();
-    auto wake = [ctx, attempt, registerAll]() {
-        if (ctx->completed())
-            return;
-        if (!attempt())
-            (*registerAll)();
-    };
-    *registerAll = [&k, pid, recs, nfds, wake]() {
+    // wake that re-evaluates the set.
+    auto arm = [&k, pid, recs, nfds](ReadinessWait &w) {
         Task *t2 = k.task(pid);
         if (!t2 || t2->state == TaskState::Zombie)
             return;
@@ -1328,26 +1422,11 @@ sysPoll(Kernel &k, Task &t, SyscallCtxPtr ctx)
             sys::PollFd p;
             std::memcpy(&p, recs.span.data + i * sys::POLLFD_BYTES,
                         sys::POLLFD_BYTES);
-            KFilePtr f = getFile(*t2, p.fd);
-            if (!f)
-                continue;
-            if (auto *pe = dynamic_cast<PipeEndFile *>(f.get())) {
-                // Readers watch readability even when events omit
-                // POLLIN (the HUP wake); writers mirror with POLLERR.
-                if (pe->isReader())
-                    pe->pipe()->watchReadable(wake);
-                else
-                    pe->pipe()->watchWritable(wake);
-            } else if (auto *sock =
-                           dynamic_cast<SocketFile *>(f.get())) {
-                if (p.events & sys::POLLOUT_)
-                    sock->watchWritable(wake);
-                if ((p.events & sys::POLLIN_) || !(p.events & sys::POLLOUT_))
-                    sock->watchReadable(wake);
-            }
+            if (KFilePtr f = getFile(*t2, p.fd))
+                w.watch(f, p.events);
         }
     };
-    (*registerAll)();
+    std::make_shared<ReadinessWait>()->park({std::move(attempt), arm});
 }
 
 // ---------- epoll (stateful readiness over the deferral protocol) ----------
@@ -1452,37 +1531,23 @@ sysEpollWait(Kernel &k, Task &t, SyscallCtxPtr ctx)
         return;
 
     k.statsMut().epollWaitsParked++;
-    auto registerAll = std::make_shared<std::function<void()>>();
-    auto wake = [ctx, attempt, registerAll]() {
-        if (ctx->completed())
-            return;
-        if (!attempt())
-            (*registerAll)();
-    };
-    *registerAll = [&k, pid, ep, wake]() {
+    // The interest list is re-read on every arm: a pass re-arming after a
+    // wake sees EPOLL_CTL edits made meanwhile.
+    auto arm = [&k, pid, ep](ReadinessWait &w) {
         Task *t2 = k.task(pid);
         if (!t2 || t2->state == TaskState::Zombie)
             return;
         for (const auto &[fd, mask] : ep->interest()) {
-            KFilePtr f = getFile(*t2, fd);
-            if (!f)
-                continue;
-            if (auto *pe = dynamic_cast<PipeEndFile *>(f.get())) {
-                // Readers watch readability even when the mask omits
-                // POLLIN (the HUP wake); writers mirror with POLLERR.
-                if (pe->isReader())
-                    pe->pipe()->watchReadable(wake);
-                else
-                    pe->pipe()->watchWritable(wake);
-            } else if (auto *sock = dynamic_cast<SocketFile *>(f.get())) {
-                if (mask & sys::POLLOUT_)
-                    sock->watchWritable(wake);
-                if ((mask & sys::POLLIN_) || !(mask & sys::POLLOUT_))
-                    sock->watchReadable(wake);
-            }
+            if (KFilePtr f = getFile(*t2, fd))
+                w.watch(f, static_cast<int16_t>(mask));
         }
     };
-    (*registerAll)();
+    std::shared_ptr<ReadinessWait> wait = ep->parkedWait().lock();
+    if (!wait) {
+        wait = std::make_shared<ReadinessWait>();
+        ep->parkedWait() = wait;
+    }
+    wait->park({std::move(attempt), arm});
 }
 
 // ---------- sendfile (file → pipe/socket, kernel-side) ----------

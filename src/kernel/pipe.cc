@@ -155,38 +155,30 @@ Pipe::pump()
 void
 Pipe::fireWatchers()
 {
-    if (!readWatchers_.empty() && readable()) {
-        std::vector<std::function<void()>> fns;
-        fns.swap(readWatchers_);
-        for (auto &fn : fns)
-            fn();
-    }
-    if (!writeWatchers_.empty() && writable()) {
-        std::vector<std::function<void()>> fns;
-        fns.swap(writeWatchers_);
-        for (auto &fn : fns)
-            fn();
-    }
+    if (!readWatchers_.empty() && readable())
+        readWatchers_.fire();
+    if (!writeWatchers_.empty() && writable())
+        writeWatchers_.fire();
 }
 
-void
+uint64_t
 Pipe::watchReadable(std::function<void()> fn)
 {
     if (readable()) {
         fn();
-        return;
+        return 0;
     }
-    readWatchers_.push_back(std::move(fn));
+    return readWatchers_.add(std::move(fn));
 }
 
-void
+uint64_t
 Pipe::watchWritable(std::function<void()> fn)
 {
     if (writable()) {
         fn();
-        return;
+        return 0;
     }
-    writeWatchers_.push_back(std::move(fn));
+    return writeWatchers_.add(std::move(fn));
 }
 
 void

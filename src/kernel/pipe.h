@@ -94,12 +94,18 @@ class Pipe : public std::enable_shared_from_this<Pipe>
     /**
      * One-shot readiness watchers (the poll trap's parking hook): fires
      * once, as soon as the matching readiness predicate holds —
-     * immediately when it already does, otherwise from the pump pass
-     * that makes it true. Watchers must tolerate firing spuriously late
-     * (the poller re-evaluates readiness itself).
+     * immediately when it already does (returning 0), otherwise from the
+     * pump pass that makes it true (returning an id for unwatch).
+     * Watchers must tolerate firing spuriously late (the poller
+     * re-evaluates readiness itself).
      */
-    void watchReadable(std::function<void()> fn);
-    void watchWritable(std::function<void()> fn);
+    uint64_t watchReadable(std::function<void()> fn);
+    uint64_t watchWritable(std::function<void()> fn);
+    /** Cancel a watcher that has not fired; true when it was here. */
+    bool unwatch(uint64_t id)
+    {
+        return readWatchers_.cancel(id) || writeWatchers_.cancel(id);
+    }
 
     /// Experiment counters.
     uint64_t bytesTransferred() const { return bytesTransferred_; }
@@ -145,8 +151,8 @@ class Pipe : public std::enable_shared_from_this<Pipe>
     std::deque<uint8_t> buf_;
     std::deque<ReadWaiter> readWaiters_;
     std::deque<WriteWaiter> writeWaiters_;
-    std::vector<std::function<void()>> readWatchers_;
-    std::vector<std::function<void()>> writeWatchers_;
+    WatcherList readWatchers_;
+    WatcherList writeWatchers_;
     bool readerClosed_ = false;
     bool writerClosed_ = false;
     bool pumping_ = false;
@@ -214,6 +220,16 @@ class PipeEndFile : public KFile
 
     PipePtr pipe() const { return pipe_; }
     bool isReader() const { return reader_; }
+
+    /** An end watches its own direction whatever the poller asked: a
+     * reader wakes on data or hang-up, a writer on room or a closed
+     * reader (the POLLERR wake). */
+    uint64_t watch(bool, std::function<void()> fn) override
+    {
+        return reader_ ? pipe_->watchReadable(std::move(fn))
+                       : pipe_->watchWritable(std::move(fn));
+    }
+    void unwatch(uint64_t id) override { pipe_->unwatch(id); }
 
   protected:
     void onLastClose() override

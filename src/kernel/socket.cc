@@ -78,28 +78,29 @@ SocketFile::shutdown(int how)
     return 0;
 }
 
-void
-SocketFile::watchReadable(std::function<void()> fn)
+uint64_t
+SocketFile::watch(bool writable_wanted, std::function<void()> fn)
 {
-    if (readable()) {
+    if (writable_wanted ? writable() : readable()) {
         fn();
-        return;
+        return 0;
     }
-    if (state_ == State::Connected) {
-        rx_->watchReadable(std::move(fn));
-        return;
-    }
-    readyWatchers_.push_back(std::move(fn)); // Listening: fires on enqueue
+    if (writable_wanted)
+        return tx_->watchWritable(std::move(fn)); // only Connected blocks
+    if (state_ == State::Connected)
+        return rx_->watchReadable(std::move(fn));
+    return readyWatchers_.add(std::move(fn)); // Listening: fires on enqueue
 }
 
 void
-SocketFile::watchWritable(std::function<void()> fn)
+SocketFile::unwatch(uint64_t id)
 {
-    if (writable()) {
-        fn();
+    if (readyWatchers_.cancel(id))
         return;
-    }
-    tx_->watchWritable(std::move(fn)); // only Connected can be unwritable
+    if (rx_ && rx_->unwatch(id))
+        return;
+    if (tx_)
+        tx_->unwatch(id);
 }
 
 int
@@ -136,12 +137,7 @@ SocketFile::enqueueConnection(SocketFilePtr peer)
     if (static_cast<int>(pending_.size()) >= backlog_)
         return ECONNREFUSED;
     pending_.push_back(std::move(peer));
-    if (!readyWatchers_.empty()) {
-        std::vector<std::function<void()>> fns;
-        fns.swap(readyWatchers_);
-        for (auto &fn : fns)
-            fn();
-    }
+    readyWatchers_.fire();
     return 0;
 }
 
@@ -239,6 +235,9 @@ SocketFile::onLastClose()
         }
     }
     state_ = State::Unbound;
+    // A poller parked on this listener re-evaluates (its descriptor is
+    // gone) instead of holding its watcher until the object dies.
+    readyWatchers_.fire();
 }
 
 } // namespace kernel

@@ -112,10 +112,14 @@ class SocketFile : public KFile
     /**
      * One-shot readiness watchers (the poll trap's parking hook); same
      * contract as Pipe's — fires immediately when already ready,
-     * otherwise on the transition, and may fire spuriously late.
+     * otherwise on the transition, and may fire spuriously late. A
+     * listener's fire on enqueue and on its last close.
      */
-    void watchReadable(std::function<void()> fn);
-    void watchWritable(std::function<void()> fn);
+    uint64_t watch(bool writable, std::function<void()> fn) override;
+    void unwatch(uint64_t id) override;
+    /** Watchers armed on this listener (a connection's sit on its
+     * streams). */
+    size_t watcherCount() const { return readyWatchers_.size(); }
 
   protected:
     void onLastClose() override;
@@ -141,7 +145,7 @@ class SocketFile : public KFile
     std::deque<SocketFilePtr> pending_;
     std::deque<std::function<void(int, SocketFilePtr)>> acceptWaiters_;
     std::deque<ConnectWaiter> connectWaiters_;
-    std::vector<std::function<void()>> readyWatchers_;
+    WatcherList readyWatchers_;
 };
 
 } // namespace kernel

@@ -225,6 +225,7 @@ SyscallCtx::finishRing(int64_t r0, int64_t r1)
         // pollable) and this event-driven push is what un-parks the
         // producer. It pays its own notify.
         kernel_.stats_.ringDeferredCompletions++;
+        kernel_.ringArmForWake(*t);
         kernel_.ringNotify(*t);
     }
 }

@@ -72,6 +72,18 @@ struct Task
         /// producer's more-coming hint; capped so a producer that dies
         /// (or lies) mid-burst cannot pin the drain pipeline forever.
         int idleHintPasses = 0;
+        /// Wake-up window: every ringNotify lets empty drain passes stay
+        /// armed until pollDeadlineUs, and for at most pollPassesLeft of
+        /// them (Kernel::kRingPollPassesPerUs per µs of window, so a
+        /// frozen virtual clock still closes it), so the woken process's
+        /// next batch rides a queued pass instead of a doorbell message.
+        /// Zero-length under a profile whose postMessage is free.
+        int64_t pollDeadlineUs = 0;
+        int64_t pollPassesLeft = 0;
+        /// When the pipeline started polling on the window's account
+        /// alone (-1: it is not); a productive pass from that state is a
+        /// doorbell the window avoided.
+        int64_t pollStartUs = -1;
     };
     RingState ring;
 

@@ -11,7 +11,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "apps/registry.h"
 #include "core/browsix.h"
@@ -30,6 +33,58 @@ addProgram(const std::string &name, rt::EmProgramFn fn,
            apps::RuntimeKind kind = apps::RuntimeKind::EmRing)
 {
     testutil::addProgram(name, std::move(fn), kind);
+}
+
+/** A root process driven by hand: its pid, stdout and exit status. */
+struct Launched
+{
+    int pid = 0;
+    std::string out;
+    bool exited = false;
+    int status = 0;
+};
+
+std::shared_ptr<Launched>
+launch(Browsix &bx, const std::string &name)
+{
+    auto l = std::make_shared<Launched>();
+    bx.kernel().spawnRoot(
+        {"/usr/bin/" + name}, bx.kernel().defaultEnv, "/",
+        [l](int st) {
+            l->status = st;
+            l->exited = true;
+        },
+        [l](const bfs::Buffer &d) { l->out.append(d.begin(), d.end()); },
+        nullptr, [l](int rc) { l->pid = rc; });
+    return l;
+}
+
+/** Connect from the host to port and drop the connection once made. */
+void
+connectAndClose(Browsix &bx, int port)
+{
+    bx.kernel().connect(
+        port, [](const bfs::Buffer &) {}, nullptr,
+        [](int err, std::shared_ptr<kernel::Kernel::HostConn> c) {
+            if (!err && c)
+                c->close();
+        });
+}
+
+/**
+ * The wake-up window is as long as one postMessage of the booted
+ * profile, so every test above (booted fast()) runs with it closed.
+ * These boot a profile whose only cost is a kWindowUs postMessage.
+ */
+constexpr int64_t kWindowUs = 20000;
+
+BootConfig
+windowConfig()
+{
+    BootConfig cfg;
+    cfg.profile.name = "window-test";
+    cfg.profile.postMessageUs = kWindowUs;
+    return cfg;
 }
 
 } // namespace
@@ -1283,4 +1338,353 @@ TEST(RingSyscalls, SendfileMovesKernelSideAndShortCountsAtEof)
     EXPECT_EQ(after.sendfileBytes - before.sendfileBytes, 16u)
         << "10 bytes from offset 0 plus 6 from offset 4, nothing else";
     EXPECT_EQ(after.ringCqOverflows, 0u);
+}
+
+// --- parked poll/epoll_wait: nothing outlives the call -------------------
+
+namespace {
+
+/**
+ * Guest body shared by the heap-release tests: listen on `port`, park
+ * `trap` (POLL, EPOLL_WAIT or ACCEPT) on the idle listener, print
+ * "parked", and finish once the host's connect wakes it.
+ */
+int
+parkOnListener(rt::EmEnv &env, int trap, int port)
+{
+    rt::RingSyscalls *ring = env.ring();
+    rt::SyncSyscalls *sync = env.syncCalls();
+    if (!ring || !sync)
+        return 1;
+    int s = env.socket();
+    if (s < 0 || env.bind(s, port) != 0 || env.listen(s, 4) != 0)
+        return 2;
+    // Outside the scratch region: the write below reuses scratch while
+    // the kernel still reads (and later fills) these records.
+    uint32_t recs = sync->reserve(4 * sys::EPOLL_EVENT_BYTES);
+    std::array<int32_t, 6> args{s, 0, 0, 0, 0, 0};
+    if (trap == sys::POLL) {
+        sys::PollFd p;
+        p.fd = s;
+        p.events = sys::POLLIN_;
+        p.revents = 0;
+        std::memcpy(sync->heapData() + recs, &p, sys::POLLFD_BYTES);
+        args = {static_cast<int32_t>(recs), 1, 0, 0, 0, 0};
+    } else if (trap == sys::EPOLL_WAIT) {
+        int ep = env.epollCreate();
+        if (ep < 0 || env.epollCtl(ep, sys::EPOLL_CTL_ADD_, s,
+                                   sys::POLLIN_) != 0)
+            return 3;
+        args = {ep, static_cast<int32_t>(recs), 4, 0, 0, 0};
+    }
+    uint32_t seq = ring->submit(trap, args);
+    ring->flush(); // drained before the write below: it parks
+    env.write(1, std::string("parked\n"));
+    int32_t r0 = ring->wait(seq).r0;
+    if (r0 < 0)
+        return 4;
+    int c = trap == sys::ACCEPT ? r0 : env.accept(s);
+    if (c < 0)
+        return 5;
+    env.close(c);
+    env.close(s);
+    return 0;
+}
+
+/** The process parks `trap`, is woken, exits and is reaped; then its
+ * personality heap must be freed. */
+void
+expectHeapFreedAfterParkedCall(const std::string &name, int trap)
+{
+    constexpr int kPort = 8170;
+    addProgram(name, [trap](rt::EmEnv &env) -> int {
+        return parkOnListener(env, trap, kPort);
+    });
+    Browsix bx;
+    stage(bx, name);
+    auto p = launch(bx, name);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->out == "parked\n"; }, 10000));
+    kernel::Task *t = bx.kernel().task(p->pid);
+    ASSERT_NE(t, nullptr);
+    std::weak_ptr<jsvm::SharedArrayBuffer> heap = t->heap;
+    ASSERT_FALSE(heap.expired());
+    connectAndClose(bx, kPort);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->exited; }, 10000));
+    EXPECT_EQ(sys::wexitstatus(p->status), 0);
+    EXPECT_EQ(bx.kernel().task(p->pid), nullptr) << "reaped";
+    // The worker unwinds on a pool thread after the reap; give it time.
+    EXPECT_TRUE(bx.runUntil([&]() { return heap.expired(); }, 5000))
+        << "something still pins the exited process's heap";
+}
+
+} // namespace
+
+TEST(RingSyscalls, ParkedAcceptFreesHeapOnceReaped)
+{
+    // The control: a park on a waiter list (the listener's accept queue)
+    // holds nothing after the call completes.
+    expectHeapFreedAfterParkedCall("park-accept", sys::ACCEPT);
+}
+
+TEST(RingSyscalls, ParkedPollFreesHeapOnceReaped)
+{
+    // A parked poll's readiness watchers hold the call, and the call
+    // holds the guest window it writes revents into: once it completes,
+    // nothing may keep either alive (no self-referential re-arm closure).
+    expectHeapFreedAfterParkedCall("park-poll", sys::POLL);
+}
+
+TEST(RingSyscalls, ParkedEpollWaitFreesHeapOnceReaped)
+{
+    expectHeapFreedAfterParkedCall("park-epoll", sys::EPOLL_WAIT);
+}
+
+TEST(RingSyscalls, RepeatedEpollParksKeepOneWatcherOnAnIdleListener)
+{
+    // A server's epoll_wait parks on its listener and every connection,
+    // but wakes through one of them. Each completed wait must cancel the
+    // watchers it armed elsewhere, or an idle listener collects one more
+    // per park for as long as it lives; and calls parked on one epoll
+    // instance at the same time share its watchers.
+    constexpr int kParks = 32;
+    constexpr int kPort = 8171;
+    addProgram("epoll-idle-listener", [](rt::EmEnv &env) -> int {
+        rt::RingSyscalls *ring = env.ring();
+        rt::SyncSyscalls *sync = env.syncCalls();
+        if (!ring || !sync)
+            return 1;
+        int s = env.socket();
+        if (s < 0 || env.bind(s, kPort) != 0 || env.listen(s, 4) != 0)
+            return 2;
+        int ep = env.epollCreate();
+        int fds[2];
+        if (ep < 0 || env.pipe2(fds) != 0)
+            return 3;
+        if (env.epollCtl(ep, sys::EPOLL_CTL_ADD_, s, sys::POLLIN_) != 0 ||
+            env.epollCtl(ep, sys::EPOLL_CTL_ADD_, fds[0], sys::POLLIN_) != 0)
+            return 4;
+        uint32_t evs = sync->reserve(4 * sys::EPOLL_EVENT_BYTES);
+        uint32_t byte = sync->reserve(1);
+        sync->heapData()[byte] = 'x';
+        std::array<int32_t, 6> wait_args{ep, static_cast<int32_t>(evs), 4,
+                                         0, 0, 0};
+        for (int i = 0; i < kParks; i++) {
+            // Nothing is ready, so the wait parks; the write behind it in
+            // the same batch wakes it through the pipe, never through
+            // the idle listener.
+            uint32_t w = ring->submit(sys::EPOLL_WAIT, wait_args);
+            uint32_t wr = ring->submit(
+                sys::WRITE, {fds[1], static_cast<int32_t>(byte), 1, 0, 0, 0});
+            ring->flush();
+            if (ring->wait(w).r0 != 1 || ring->wait(wr).r0 != 1)
+                return 5;
+            bfs::Buffer b;
+            if (env.read(fds[0], b, 1) != 1)
+                return 6;
+        }
+        // Two more parks on the same instance, for the host to count; its
+        // connect wakes both (level-triggered).
+        uint32_t evs2 = sync->reserve(4 * sys::EPOLL_EVENT_BYTES);
+        uint32_t w1 = ring->submit(sys::EPOLL_WAIT, wait_args);
+        uint32_t w2 = ring->submit(
+            sys::EPOLL_WAIT, {ep, static_cast<int32_t>(evs2), 4, 0, 0, 0});
+        ring->flush();
+        env.write(1, std::string("parked\n"));
+        if (ring->wait(w1).r0 != 1 || ring->wait(w2).r0 != 1)
+            return 7;
+        int c = env.accept(s);
+        if (c < 0)
+            return 8;
+        env.close(c);
+        return 0;
+    });
+    Browsix bx;
+    stage(bx, "epoll-idle-listener");
+    auto before = bx.kernel().stats();
+    auto p = launch(bx, "epoll-idle-listener");
+    ASSERT_TRUE(bx.runUntil([&]() { return p->out == "parked\n"; }, 10000));
+    kernel::Task *t = bx.kernel().task(p->pid);
+    ASSERT_NE(t, nullptr);
+    size_t listener_watchers = 0, listeners = 0;
+    for (auto &[fd, f] : t->files) {
+        auto *sock = dynamic_cast<kernel::SocketFile *>(f.get());
+        if (sock && sock->state() == kernel::SocketFile::State::Listening) {
+            listeners++;
+            listener_watchers = sock->watcherCount();
+        }
+    }
+    ASSERT_EQ(listeners, 1u);
+    EXPECT_EQ(listener_watchers, 1u)
+        << "one watcher per epoll instance, whatever parked on it before";
+    EXPECT_GE(bx.kernel().stats().epollWaitsParked - before.epollWaitsParked,
+              static_cast<uint64_t>(kParks + 2));
+    connectAndClose(bx, kPort);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->exited; }, 10000));
+    EXPECT_EQ(sys::wexitstatus(p->status), 0);
+}
+
+// --- the wake-up window --------------------------------------------------
+
+TEST(RingSyscalls, WakeWindowCarriesTheBatchAfterADeferredCqe)
+{
+    // A parked ACCEPT completes when the host connects: a deferred CQE,
+    // pushed outside any drain pass. The kernel then keeps a drain pass
+    // queued for one postMessage's worth of time, so the batch the woken
+    // server publishes next rides it: no doorbell message.
+    constexpr int kPort = 8172;
+    addProgram("window-accept", [](rt::EmEnv &env) -> int {
+        rt::RingSyscalls *ring = env.ring();
+        if (!ring)
+            return 1;
+        int s = env.socket();
+        if (s < 0 || env.bind(s, kPort) != 0 || env.listen(s, 4) != 0)
+            return 2;
+        uint32_t seq = ring->submit(sys::ACCEPT, {s, 0, 0, 0, 0, 0});
+        ring->flush(); // no pending connection: the SQE parks
+        env.write(1, std::string("parked\n"));
+        int c = ring->wait(seq).r0;
+        if (c < 0)
+            return 3;
+        uint64_t rung = ring->doorbellsRung();
+        std::vector<uint32_t> seqs;
+        for (int i = 0; i < 4; i++)
+            seqs.push_back(ring->submit(sys::GETPID, {}));
+        ring->flush();
+        if (ring->doorbellsRung() != rung)
+            return 4; // the window had closed: a doorbell message
+        for (uint32_t q : seqs) {
+            if (ring->wait(q).r0 != env.pid())
+                return 5;
+        }
+        env.close(c);
+        env.close(s);
+        return 0;
+    });
+    Browsix bx(windowConfig());
+    stage(bx, "window-accept");
+    auto p = launch(bx, "window-accept");
+    // Connect only once the server sleeps on its ring wait word, so the
+    // CQE lands as a deferred completion.
+    ASSERT_TRUE(bx.runUntil(
+        [&]() {
+            return p->out == "parked\n" &&
+                   bx.kernel().runState(p->pid) == kernel::RunState::Parked;
+        },
+        10000));
+    auto before = bx.kernel().stats();
+    connectAndClose(bx, kPort);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->exited; }, 10000));
+    EXPECT_EQ(sys::wexitstatus(p->status), 0);
+    auto after = bx.kernel().stats();
+    EXPECT_GE(after.ringDeferredCompletions - before.ringDeferredCompletions,
+              1u);
+    EXPECT_EQ(after.ringDoorbells - before.ringDoorbells, 0u);
+    EXPECT_GE(after.ringPollCatches - before.ringPollCatches, 1u)
+        << "a pass queued only by the window must have caught the batch";
+}
+
+TEST(RingSyscalls, SerialSubmitWaitLoopRidesTheWakeWindow)
+{
+    // submit one, wait for it, submit the next: without the more-coming
+    // hint, every round used to find the pipeline disarmed and ring. The
+    // window keeps it armed while the woken producer turns around.
+    constexpr int kRounds = 32;
+    addProgram("window-serial", [](rt::EmEnv &env) -> int {
+        rt::RingSyscalls *ring = env.ring();
+        if (!ring)
+            return 1;
+        uint64_t rung = ring->doorbellsRung();
+        for (int i = 0; i < kRounds; i++) {
+            uint32_t seq = ring->submit(sys::GETPID, {});
+            ring->flush();
+            if (ring->wait(seq).r0 != env.pid())
+                return 2;
+        }
+        // The first round rings; allow a pool thread that now and then
+        // wakes later than the window on a loaded host.
+        return ring->doorbellsRung() - rung <= 4 ? 0 : 3;
+    });
+    Browsix bx(windowConfig());
+    stage(bx, "window-serial");
+    auto before = bx.kernel().stats();
+    auto r = bx.runArgv({"/usr/bin/window-serial"});
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.exitCode(), 0);
+    auto after = bx.kernel().stats();
+    // Rounds whose producer turned around within the grace pass ride
+    // without the window; the rest are its catches.
+    EXPECT_GE(after.ringPollCatches - before.ringPollCatches, 1u);
+    EXPECT_GT(after.ringPollUs, before.ringPollUs);
+}
+
+namespace {
+
+/**
+ * The guest makes one ring call (its completion opens the window), then
+ * neither publishes nor parks until the host has seen the kernel disarm
+ * drainPending. Its next flush must then ring exactly one doorbell, and
+ * its SQE must complete: a window that closed left nothing stranded.
+ */
+void
+expectOneDoorbellAfterTheWindowCloses(Browsix &bx, const std::string &name)
+{
+    auto go = std::make_shared<std::atomic<bool>>(false);
+    addProgram(name, [go](rt::EmEnv &env) -> int {
+        rt::RingSyscalls *ring = env.ring();
+        if (!ring)
+            return 1;
+        if (env.write(1, std::string("ready\n")) != 6)
+            return 2;
+        while (!go->load())
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        uint64_t rung = ring->doorbellsRung();
+        uint32_t seq = ring->submit(sys::GETPID, {});
+        ring->flush();
+        if (ring->doorbellsRung() != rung + 1)
+            return 3;
+        return ring->wait(seq).r0 == env.pid() ? 0 : 4;
+    });
+    stage(bx, name);
+    auto before = bx.kernel().stats();
+    auto p = launch(bx, name);
+    auto disarmed = [&]() {
+        kernel::Task *t = bx.kernel().task(p->pid);
+        if (!t || !t->ring.registered)
+            return false;
+        sys::RingLayout ring(static_cast<uint32_t>(t->ring.off),
+                             static_cast<uint32_t>(t->ring.entries));
+        return jsvm::Atomics::load(*t->heap, ring.drainPendingOff()) == 0;
+    };
+    ASSERT_TRUE(bx.runUntil(
+        [&]() { return p->out == "ready\n" && disarmed(); }, 10000));
+    auto mid = bx.kernel().stats();
+    EXPECT_GT(mid.ringPollPasses, before.ringPollPasses)
+        << "the write's completion must have opened a window";
+    go->store(true);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->exited; }, 10000));
+    EXPECT_EQ(sys::wexitstatus(p->status), 0);
+    EXPECT_EQ(bx.kernel().stats().ringDoorbells - mid.ringDoorbells, 1u);
+}
+
+} // namespace
+
+TEST(RingSyscalls, PublishAfterTheWakeWindowRingsOneDoorbell)
+{
+    Browsix bx(windowConfig());
+    expectOneDoorbellAfterTheWindowCloses(bx, "window-late");
+}
+
+TEST(RingSyscalls, WakeWindowEndsUnderTestClock)
+{
+    // A frozen virtual clock never reaches the window's deadline; the
+    // window must still end (it is also bounded in passes), or the main
+    // loop would never go idle and no virtual timer could fire.
+    jsvm::TestClock clock;
+    Browsix bx(windowConfig());
+    expectOneDoorbellAfterTheWindowCloses(bx, "window-late-virtual");
+    EXPECT_LE(bx.kernel().stats().ringPollPasses,
+              static_cast<uint64_t>(kWindowUs *
+                                    kernel::Kernel::kRingPollPassesPerUs) *
+                  bx.kernel().stats().ringNotifies)
+        << "each wake-up buys a bounded number of passes";
 }

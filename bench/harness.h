@@ -140,25 +140,28 @@ recordMetric(const std::string &bench, const std::string &name,
 }
 
 /**
- * Serialize a kernel latency histogram through recordMetric: one row
- * each for p50/p99/mean/max (µs) plus the sample count, named
- * "<prefix>.p50" and so on. The JSON schema stays the plain
- * {"name", "value", "unit"} rows documented in BUILDING.md
- * ("Histogram JSON").
+ * Serialize a kernel histogram through recordMetric: one row each for
+ * p50/p99/mean/max in `unit` (µs for latency histograms; a histogram of
+ * something else, such as SQEs per drain pass, names its own) plus the
+ * sample count in `count_unit`, named "<prefix>.p50" and so on. The
+ * JSON schema stays the plain {"name", "value", "unit"} rows documented
+ * in bench/baselines/README.md.
  */
 inline void
 recordHistogram(const std::string &bench, const std::string &prefix,
-                const kernel::LatencyHistogram &h)
+                const kernel::LatencyHistogram &h,
+                const std::string &unit = "us",
+                const std::string &count_unit = "calls")
 {
     recordMetric(bench, prefix + ".p50",
-                 static_cast<double>(h.percentileUs(50)), "us");
+                 static_cast<double>(h.percentileUs(50)), unit);
     recordMetric(bench, prefix + ".p99",
-                 static_cast<double>(h.percentileUs(99)), "us");
-    recordMetric(bench, prefix + ".mean", h.meanUs(), "us");
+                 static_cast<double>(h.percentileUs(99)), unit);
+    recordMetric(bench, prefix + ".mean", h.meanUs(), unit);
     recordMetric(bench, prefix + ".max", static_cast<double>(h.maxUs),
-                 "us");
+                 unit);
     recordMetric(bench, prefix + ".count", static_cast<double>(h.count),
-                 "calls");
+                 count_unit);
 }
 
 /**
@@ -465,7 +468,9 @@ runNodeDirect(bfs::Vfs &vfs, const jsvm::CostModel &costs,
     apps::registerCoreutils();
     const apps::ProgramSpec *node =
         apps::ProgramRegistry::instance().find("node");
-    costs.chargeParse(node->bundleKb * 1024); // node startup: parse/JIT
+    // node startup: parse/JIT of its bundle
+    costs.charge(costs.profile().parseUsPerKb *
+                 static_cast<double>(node->bundleKb));
     std::vector<std::string> argv = {"/usr/bin/node",
                                      "/usr/bin/" + util_argv[0]};
     argv.insert(argv.end(), util_argv.begin() + 1, util_argv.end());

@@ -182,7 +182,8 @@ main()
 
     // Bare postMessage round-trip (charged with the Chrome profile).
     jsvm::Browser browser(jsvm::BrowserProfile::chrome2016());
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(
+        std::make_shared<const std::vector<uint8_t>>(1, 'x'));
     auto w = browser.createWorker(
         url, [](jsvm::WorkerScope &scope, auto) {
             scope.setOnMessage([&scope](jsvm::Value v) {
@@ -191,6 +192,10 @@ main()
         });
     int received = 0;
     w->setOnMessage([&](jsvm::Value) { received++; });
+    // One untimed ping: the worker answers only once it has booted, and
+    // its construction and parse are no part of a round trip.
+    w->postMessage(jsvm::Value(-1));
+    browser.runUntil([&]() { return received >= 1; }, 10000);
     const int kPings = 100;
     double pm_ms = timeMs([&]() {
         for (int i = 0; i < kPings; i++) {

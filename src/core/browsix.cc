@@ -90,19 +90,11 @@ Browsix::Browsix(BootConfig cfg)
                                   : std::make_shared<bfs::BrowserHttpCache>();
         texHttp_ = std::make_shared<bfs::HttpBackend>(
             texStore_, texCache_, &browser_->mainLoop(), cfg.texliveNet);
+        // Browsix's lazy overlay (§3.6): each underlay file is fetched on
+        // first access, so there is nothing to initialize.
         auto upper = std::make_shared<bfs::InMemBackend>();
-        texOverlay_ = std::make_shared<bfs::OverlayBackend>(
-            upper, texHttp_,
-            bfs::OverlayBackend::Options(cfg.lazyOverlay));
-        bool init_done = false;
-        texOverlay_->initialize([&init_done](int) { init_done = true; });
+        texOverlay_ = std::make_shared<bfs::OverlayBackend>(upper, texHttp_);
         vfs_->mount("/texlive", texOverlay_);
-        // Eager initialization walks the whole remote tree via the main
-        // loop; pump until it settles.
-        if (!cfg.lazyOverlay) {
-            browser_->runUntil([&init_done]() { return init_done; },
-                               60000);
-        }
         apps::stageLatexProject(*root_, "/home", cfg.latexPages);
     }
     if (cfg.memeAssets)

@@ -39,8 +39,6 @@ struct BootConfig
     size_t texPackages = 60;
     int latexPages = 1;
     bfs::NetworkParams texliveNet{/*rttUs=*/0, /*bytesPerUs=*/0};
-    /// Lazy (Browsix) vs eager (original BrowserFS) overlay underlay.
-    bool lazyOverlay = true;
     /// Browser HTTP cache; share one across Browsix instances to model
     /// a warm second visit.
     bfs::BrowserHttpCachePtr httpCache;

@@ -23,8 +23,13 @@ class BlobRegistry
   public:
     using Data = std::shared_ptr<const std::vector<uint8_t>>;
 
-    /** Wrap bytes in a blob and return a unique blob: URL. */
-    std::string createObjectUrl(std::vector<uint8_t> bytes);
+    /**
+     * Wrap bytes in a blob and return a unique blob: URL. The blob shares
+     * the immutable bytes instead of copying them, so several URLs (a
+     * forked child's and its parent's) can name one object; revoking one
+     * URL leaves the others valid.
+     */
+    std::string createObjectUrl(Data bytes);
 
     /** Resolve a blob: URL; nullptr when unknown/revoked. */
     Data resolve(const std::string &url) const;

@@ -35,8 +35,6 @@ Browser::createWorker(const std::string &url, Worker::Main main)
     auto script = blobs_.resolve(url);
     if (!script)
         panic("createWorker: unknown blob URL " + url);
-    costs_.chargeSpawn();
-    costs_.chargeParse(script->size());
 
     uint64_t id;
     {
@@ -49,7 +47,7 @@ Browser::createWorker(const std::string &url, Worker::Main main)
         std::lock_guard<std::mutex> lk(mutex_);
         workers_.push_back(w);
     }
-    w->start();
+    w->start(costs_.workerBootUs(script->size()));
     return w;
 }
 

@@ -41,7 +41,9 @@ class Browser
     std::shared_ptr<WorkerExecutor> executor() const;
 
     /**
-     * Construct a Worker from a blob: URL (charging spawn + parse costs).
+     * Construct a Worker from a blob: URL. Returns at once, as `new
+     * Worker()` does: the worker waits out its own construction and parse
+     * (CostModel::workerBootUs of the script size) before `main` runs.
      *
      * @param url blob URL of the worker script (the executable's bytes).
      * @param main the bootstrap run on the worker thread with the bytes.

@@ -81,16 +81,12 @@ CostModel::chargeMessage(size_t bytes) const
          profile_.cloneUsPerKb * (static_cast<double>(bytes) / 1024.0));
 }
 
-void
-CostModel::chargeSpawn() const
+int64_t
+CostModel::workerBootUs(size_t bundle_bytes) const
 {
-    burn(profile_.workerSpawnUs);
-}
-
-void
-CostModel::chargeParse(size_t bytes) const
-{
-    burn(profile_.parseUsPerKb * (static_cast<double>(bytes) / 1024.0));
+    return static_cast<int64_t>(
+        profile_.workerSpawnUs +
+        profile_.parseUsPerKb * (static_cast<double>(bundle_bytes) / 1024.0));
 }
 
 void

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace browsix {
@@ -26,8 +27,11 @@ struct BrowserProfile
     double cloneUsPerKb = 0;
     /// Cost of constructing a Web Worker (thread + isolate + script
     /// evaluation; tens of ms for multi-MB bundles in 2016 browsers).
+    /// Paid by the new worker before its first instruction, not by the
+    /// context that called `new Worker()` (see workerBootUs).
     double workerSpawnUs = 0;
-    /// Script parse/JIT cost per KiB of loaded bundle.
+    /// Script parse/JIT cost per KiB of loaded bundle; paid, like
+    /// workerSpawnUs, by the new worker before its first instruction.
     double parseUsPerKb = 0;
     /// JS-vs-native compute factor (informational; some code paths use
     /// genuine JS-semantics implementations instead).
@@ -54,10 +58,13 @@ class CostModel
 
     /** postMessage of a payload of the given structured-clone size. */
     void chargeMessage(size_t bytes) const;
-    /** Worker construction. */
-    void chargeSpawn() const;
-    /** Parsing/JITting a script bundle of the given size. */
-    void chargeParse(size_t bytes) const;
+    /**
+     * Construction plus parse of a worker whose script bundle has the
+     * given size: how long after `new Worker()` the worker's bootstrap
+     * runs. Not a charge — the worker waits it out (worker.h), so the
+     * creating context goes on at once, as in a browser.
+     */
+    int64_t workerBootUs(size_t bundle_bytes) const;
     /** Arbitrary engine-time charge in microseconds. */
     void charge(double us) const;
 

@@ -1,6 +1,9 @@
 #include "jsvm/worker.h"
 
+#include <chrono>
+
 #include "jsvm/browser.h"
+#include "jsvm/test_clock.h"
 #include "jsvm/util.h"
 
 namespace browsix {
@@ -76,8 +79,10 @@ Worker::Worker(Browser &browser, uint64_t id,
 }
 
 void
-Worker::start()
+Worker::start(int64_t boot_delay_us)
 {
+    if (boot_delay_us > 0)
+        bootDueUs_ = nowUs() + boot_delay_us;
     scope_ = std::make_unique<WorkerScope>(*this);
     if (auto exec = browser_.executor()) {
         pooled_ = true;
@@ -87,16 +92,16 @@ Worker::start()
             if (auto s = wself.lock())
                 s->signalWork();
         });
-        // The bootstrap (script evaluation) runs in the first step; spawn
-        // is a queue push, not a thread launch.
+        // The bootstrap (script evaluation) runs in the first step past
+        // the boot delay; spawn is a queue push, not a thread launch.
         signalWork();
         return;
     }
     auto self = shared_from_this();
     thread_ = std::thread([self]() {
-        // Script evaluation: parse cost was charged by the creator; the
-        // bootstrap installs onmessage and returns.
-        if (self->main_)
+        // Construction and parse happen here, on the worker's own
+        // thread; the bootstrap then installs onmessage and returns.
+        if (self->waitForBoot() && self->main_)
             self->main_(*self->scope_, self->script_);
         self->loop_.run();
         // Loop stopped (terminate): unwind worker-local threads.
@@ -108,6 +113,30 @@ Worker::start()
         for (auto &fn : fns)
             fn();
     });
+}
+
+bool
+Worker::bootDue()
+{
+    int64_t now = nowUs();
+    if (now >= bootDueUs_)
+        return true;
+    // Under a virtual clock the wait elapses as virtual time, as a cost
+    // charge does: a frozen clock would never reach the deadline.
+    if (TestClock *c = TestClock::active()) {
+        c->advanceUs(bootDueUs_ - now);
+        return true;
+    }
+    return false;
+}
+
+bool
+Worker::waitForBoot()
+{
+    std::unique_lock<std::mutex> lk(mutex_);
+    while (!terminated_ && !bootDue())
+        bootCv_.wait_for(lk, std::chrono::microseconds(bootDueUs_ - nowUs()));
+    return !terminated_;
 }
 
 void
@@ -214,7 +243,7 @@ Worker::step()
     }
     if (terminated()) {
         teardownFibers();
-    } else {
+    } else if (booted_ || bootDue()) {
         if (!booted_) {
             booted_ = true;
             if (main_)
@@ -223,6 +252,8 @@ Worker::step()
         loop_.pump();
         resumeRunnableFibers();
     }
+    // else still booting: messages stay queued on the loop, and going
+    // idle re-arms the boot timer.
     finishStep();
 }
 
@@ -335,10 +366,11 @@ Worker::finishStep()
             SchedState e = SchedState::Running;
             if (schedState_.compare_exchange_strong(
                     e, SchedState::Idle, std::memory_order_seq_cst)) {
-                // Going idle with a pending loop timer: ask the executor
-                // to bring us back when it is due.
+                // Going idle with a pending loop timer, or still
+                // booting: ask the executor to bring us back when due.
                 if (!terminated()) {
-                    int64_t due = loop_.nextTimerDueUs();
+                    int64_t due =
+                        booted_ ? loop_.nextTimerDueUs() : bootDueUs_;
                     if (due >= 0)
                         executor_->scheduleTimer(shared_from_this(), due);
                 }
@@ -432,6 +464,7 @@ Worker::terminate()
         parentHandler_ = nullptr;
         workerHandler_ = nullptr;
     }
+    bootCv_.notify_all();
     token_.interrupt();
     loop_.stop();
     if (pooled_) {

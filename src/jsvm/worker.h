@@ -18,10 +18,18 @@
  *    step(), which pumps the worker's event loop and resumes its guest
  *    fibers. Parked guests cost zero threads; their wake event re-enqueues
  *    the worker. This is what takes the process table to 10k+ live.
+ *
+ * Either way a new worker boots like a browser's: `new Worker()` returns
+ * at once, and the worker itself waits out its construction and script
+ * parse (CostModel::workerBootUs) before the bootstrap runs — on a
+ * scheduler timer in pooled mode, on its own thread in legacy mode.
+ * Messages posted meanwhile queue on its loop and arrive after the
+ * bootstrap has installed onmessage.
  */
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -134,9 +142,11 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     /**
      * Pooled mode: run one scheduling quantum on the calling thread —
-     * bootstrap on first call, pump the event loop, resume each runnable
-     * fiber once, then either re-enqueue (more work / signalled during the
-     * step) or go idle. Called only by the executor, never concurrently.
+     * bootstrap on the first call after the boot delay (before it, the
+     * step only re-arms the boot timer), pump the event loop, resume each
+     * runnable fiber once, then either re-enqueue (more work / signalled
+     * during the step) or go idle. Called only by the executor, never
+     * concurrently.
      */
     void step();
 
@@ -166,7 +176,9 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     Worker(Browser &browser, uint64_t id,
            std::shared_ptr<const std::vector<uint8_t>> script, Main main);
-    void start();
+    void start(int64_t boot_delay_us);
+    bool bootDue();
+    bool waitForBoot();
     void startGuest(std::function<void()> fn);
     void fiberWoken(uint64_t fiber_id);
     void resumeRunnableFibers();
@@ -203,10 +215,12 @@ class Worker : public std::enable_shared_from_this<Worker>
     bool pooled_ = false;
     std::shared_ptr<WorkerExecutor> executor_;
     std::atomic<SchedState> schedState_{SchedState::Idle};
+    int64_t bootDueUs_ = 0; // set by start(), then read-only
     bool booted_ = false;   // step-thread only
     bool tornDown_ = false; // step-thread only
 
     mutable std::mutex mutex_;
+    std::condition_variable bootCv_; // legacy mode: terminate ends the wait
     bool terminated_ = false;
     uint64_t nextFiberId_ = 1;
     std::vector<std::shared_ptr<GuestFiber>> fibers_;

@@ -217,7 +217,9 @@ Kernel::doSpawn(Task *parent, std::vector<std::string> argv,
                 cb(pid);
                 return;
             }
-            std::string url = browser_.blobs().createObjectUrl(*code);
+            // The blob shares the buffer the read produced (every
+            // backend's pread returns a fresh one the caller owns).
+            std::string url = browser_.blobs().createObjectUrl(std::move(code));
             auto worker = browser_.createWorker(url, bootstrapper_);
 
             auto t = std::make_unique<Task>();
@@ -288,7 +290,7 @@ Kernel::doExec(Task &t, std::vector<std::string> argv,
             if (!t->blobUrl.empty())
                 browser_.blobs().revokeObjectUrl(t->blobUrl);
 
-            std::string url = browser_.blobs().createObjectUrl(*code);
+            std::string url = browser_.blobs().createObjectUrl(std::move(code));
             auto worker = browser_.createWorker(url, bootstrapper_);
             t->worker = worker;
             t->blobUrl = url;
@@ -341,9 +343,10 @@ Kernel::doFork(Task &parent, jsvm::Value snapshot)
         ++*parent.nproc;
     // Workers cannot be cloned (§3.3): boot a fresh worker from the same
     // executable and hand it the serialized memory + program counter.
-    // The child gets its own blob URL: revocation at its exit/exec must
-    // not strand the parent's executable.
-    std::string child_url = browser_.blobs().createObjectUrl(*code);
+    // The child gets its own blob URL over the parent's bytes (no copy):
+    // revocation at its exit/exec must not strand the parent's
+    // executable, nor the parent's the child's.
+    std::string child_url = browser_.blobs().createObjectUrl(code);
     auto worker = browser_.createWorker(child_url, bootstrapper_);
 
     auto t = std::make_unique<Task>();

@@ -15,6 +15,16 @@
 
 using namespace browsix::jsvm;
 
+namespace {
+
+BlobRegistry::Data
+bytes(std::initializer_list<uint8_t> b)
+{
+    return std::make_shared<const std::vector<uint8_t>>(b);
+}
+
+} // namespace
+
 // ---------- Value & structured clone ----------
 
 TEST(Value, TypesAndAccessors)
@@ -246,13 +256,14 @@ TEST(TestClock, PumpStopsAtVirtualBudget)
 TEST(TestClock, CostChargesBecomeVirtualTime)
 {
     // Under a TestClock, cost-model charges advance the virtual clock
-    // instead of spinning or sleeping — kernel-lifecycle tests that spawn
-    // workers (25ms charge each) pay nothing in wall time.
+    // instead of spinning or sleeping, so tests pay nothing in wall time.
     TestClock clock;
     CostModel costs(BrowserProfile::chrome2016());
     int64_t t0 = nowUs();
-    costs.chargeSpawn();
-    EXPECT_EQ(nowUs() - t0, 25000) << "chrome2016 workerSpawnUs, exactly";
+    costs.charge(25000);
+    EXPECT_EQ(nowUs() - t0, 25000) << "an explicit charge, exactly";
+    EXPECT_EQ(costs.workerBootUs(8 << 20), 25000 + 3 * 8192)
+        << "chrome2016 workerSpawnUs plus parseUsPerKb x 8 MiB";
     t0 = nowUs();
     costs.chargeMessage(0);
     EXPECT_EQ(nowUs() - t0, 450) << "postMessageUs, exactly";
@@ -364,7 +375,7 @@ TEST(Atomics, NotifyCountLimitsWakes)
 TEST(Blob, CreateResolveRevoke)
 {
     BlobRegistry blobs;
-    std::string url = blobs.createObjectUrl({1, 2, 3});
+    std::string url = blobs.createObjectUrl(bytes({1, 2, 3}));
     EXPECT_EQ(url.rfind("blob:", 0), 0u);
     auto data = blobs.resolve(url);
     ASSERT_NE(data, nullptr);
@@ -373,10 +384,27 @@ TEST(Blob, CreateResolveRevoke)
     EXPECT_EQ(blobs.resolve(url), nullptr);
 }
 
+TEST(Blob, UrlsShareOneImmutableObject)
+{
+    // Two URLs over one bytes object (a forked child's and its parent's):
+    // no copy, and revoking either leaves the other resolving.
+    BlobRegistry blobs;
+    BlobRegistry::Data data = bytes({7, 8, 9});
+    std::string a = blobs.createObjectUrl(data);
+    std::string b = blobs.createObjectUrl(data);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(blobs.resolve(a).get(), data.get());
+    EXPECT_EQ(blobs.resolve(b).get(), data.get());
+    blobs.revokeObjectUrl(a);
+    EXPECT_EQ(blobs.resolve(a), nullptr);
+    EXPECT_EQ(blobs.resolve(b).get(), data.get());
+}
+
 TEST(Blob, UrlsAreUnique)
 {
     BlobRegistry blobs;
-    EXPECT_NE(blobs.createObjectUrl({1}), blobs.createObjectUrl({1}));
+    EXPECT_NE(blobs.createObjectUrl(bytes({1})),
+              blobs.createObjectUrl(bytes({1})));
 }
 
 // ---------- Worker ----------
@@ -384,7 +412,7 @@ TEST(Blob, UrlsAreUnique)
 TEST(Worker, EchoRoundtrip)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
         scope.setOnMessage([&scope](Value v) {
             Value reply = Value::object();
@@ -405,7 +433,7 @@ TEST(Worker, EchoRoundtrip)
 TEST(Worker, MessagesAreCopiedNotShared)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto payload = std::make_shared<std::vector<uint8_t>>(
         std::vector<uint8_t>{1, 2, 3});
     std::atomic<int> first_byte{-1};
@@ -429,7 +457,7 @@ TEST(Worker, MessagesAreCopiedNotShared)
 TEST(Worker, TerminateInterruptsAtomicsWait)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
     std::atomic<bool> unwound{false};
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
@@ -449,7 +477,7 @@ TEST(Worker, TerminateInterruptsAtomicsWait)
 TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
         scope.setOnMessage([&scope](Value v) {
@@ -473,7 +501,7 @@ TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
 TEST(Worker, TerminatedWorkerDropsMessages)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     std::atomic<int> received{0};
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
         scope.setOnMessage([&](Value) { received++; });

@@ -682,6 +682,65 @@ TEST(Process, ExecveReplacesImage)
     EXPECT_EQ(std::string(data.begin(), data.end()), "from-exec\n");
 }
 
+TEST(Process, ForkedChildSharesTheParentsExecutableBytes)
+{
+    // A forked child boots from the parent's executable: its own blob URL
+    // over the same immutable bytes object, never a bundle-sized copy.
+    // Revoking either URL (at exit) leaves the other resolving.
+    testutil::addProgram(
+        "fork-share",
+        [](rt::EmEnv &env) -> int {
+            if (env.resumeState().empty() &&
+                (env.fork("a") <= 0 || env.fork("b") <= 0))
+                return 1;
+            int fds[2];
+            if (env.pipe2(fds) != 0)
+                return 2;
+            bfs::Buffer buf;
+            env.read(fds[0], buf, 1); // parent and children park here
+            return 0;
+        },
+        apps::RuntimeKind::EmAsync);
+    Browsix bx;
+    testutil::stage(bx, "fork-share");
+    int ppid = 0;
+    bx.kernel().spawnRoot({"/usr/bin/fork-share"}, bx.kernel().defaultEnv,
+                          "/", [](int) {}, nullptr, nullptr,
+                          [&](int p) { ppid = p; });
+    ASSERT_TRUE(bx.runUntil(
+        [&]() { return ppid > 0 && bx.kernel().taskCount() == 3; }, 30000));
+    std::vector<int> kids;
+    for (int pid : bx.kernel().pids())
+        if (pid != ppid)
+            kids.push_back(pid);
+    ASSERT_EQ(kids.size(), 2u);
+
+    auto &blobs = bx.browser().blobs();
+    const std::string parent_url = bx.kernel().task(ppid)->blobUrl;
+    const std::string a_url = bx.kernel().task(kids[0])->blobUrl;
+    const std::string b_url = bx.kernel().task(kids[1])->blobUrl;
+    auto bytes = blobs.resolve(parent_url);
+    ASSERT_NE(bytes, nullptr);
+    EXPECT_NE(a_url, parent_url);
+    EXPECT_NE(b_url, a_url);
+    EXPECT_EQ(blobs.resolve(a_url).get(), bytes.get());
+    EXPECT_EQ(blobs.resolve(b_url).get(), bytes.get());
+
+    // A child's exit revokes its URL only.
+    EXPECT_EQ(bx.kernel().kill(kids[0], sys::SIGKILL), 0);
+    EXPECT_EQ(blobs.resolve(a_url), nullptr);
+    EXPECT_EQ(blobs.resolve(parent_url).get(), bytes.get());
+    // The parent's exit leaves the surviving child's URL valid.
+    EXPECT_EQ(bx.kernel().kill(ppid, sys::SIGKILL), 0);
+    EXPECT_EQ(blobs.resolve(parent_url), nullptr);
+    EXPECT_EQ(blobs.resolve(b_url).get(), bytes.get());
+
+    EXPECT_EQ(bx.kernel().kill(kids[1], sys::SIGKILL), 0);
+    ASSERT_TRUE(bx.runUntil(
+        [&]() { return bx.kernel().taskCount() == 0; }, 30000));
+    EXPECT_EQ(blobs.resolve(b_url), nullptr);
+}
+
 TEST(Process, OrphansAreReparentedAndReaped)
 {
     Browsix bx;

@@ -4,20 +4,25 @@
  * "thread"): pooled workers on the kernel run queue, run-state
  * introspection, FIFO fairness under a single pool thread, SIGKILL of a
  * task that never reached a pool thread, the per-tenant NPROC quota
- * (the fork-bomb fence), and Kernel::system surfacing spawn failures
- * instead of panicking.
+ * (the fork-bomb fence), Kernel::system surfacing spawn failures
+ * instead of panicking, and asynchronous worker boot (construction and
+ * parse paid by the new worker, not the kernel loop).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/registry.h"
 #include "core/browsix.h"
+#include "jsvm/test_clock.h"
+#include "jsvm/util.h"
 #include "tests/test_util.h"
 
 using namespace browsix;
@@ -31,6 +36,34 @@ addProgram(const std::string &name, rt::EmProgramFn fn,
            apps::RuntimeKind kind = apps::RuntimeKind::EmAsync)
 {
     testutil::addProgram(name, std::move(fn), kind);
+}
+
+/// Worker construction time of the boot tests' profile, its only cost:
+/// long enough that no slow thread wake-up on a loaded host outlasts it.
+constexpr int64_t kBootUs = 200000;
+
+jsvm::BrowserProfile
+slowBootProfile()
+{
+    jsvm::BrowserProfile p;
+    p.name = "slow-boot";
+    p.workerSpawnUs = kBootUs;
+    return p;
+}
+
+BootConfig
+slowBootConfig()
+{
+    BootConfig cfg;
+    cfg.profile = slowBootProfile();
+    return cfg;
+}
+
+std::string
+oneByteBlob(jsvm::Browser &browser)
+{
+    return browser.blobs().createObjectUrl(
+        std::make_shared<const std::vector<uint8_t>>(1, 'x'));
 }
 
 } // namespace
@@ -229,7 +262,8 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
     jsvm::Browser browser;
     auto sched = std::make_shared<kernel::Scheduler>(2);
     browser.setExecutor(sched);
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(
+        std::make_shared<const std::vector<uint8_t>>(1, 'x'));
     auto sab = std::make_shared<jsvm::SharedArrayBuffer>(16);
     std::atomic<int> rounds{0};
     std::atomic<int> timer_fired{0};
@@ -295,4 +329,247 @@ TEST(Scheduler, KernelSystemSurfacesSpawnFailureInsteadOfPanicking)
         << "spawn failure never reached on_exit";
     EXPECT_EQ(got, -ENOENT) << "on_exit must carry the spawn errno";
     EXPECT_EQ(bx.kernel().taskCount(), 0u);
+}
+
+// ---------- asynchronous worker boot ----------
+
+TEST(Scheduler, SpawnReturnsAtOnceAndChildrenBootConcurrently)
+{
+    // Construction and parse are the new worker's own wait: a parent
+    // spawning four children back to back has all four pids before any
+    // child runs, and the four boot within one boot delay of each other,
+    // not one delay apart as when the kernel loop slept through each.
+    struct Times
+    {
+        std::atomic<int64_t> issued{0}, spawned{0}, start[4];
+    };
+    auto tm = std::make_shared<Times>();
+    for (auto &s : tm->start)
+        s = 0;
+    addProgram("boot-child", [tm](rt::EmEnv &env) -> int {
+        tm->start[std::stoi(env.argv().at(1))] = jsvm::nowUs();
+        return 0;
+    });
+    addProgram("boot-parent", [tm](rt::EmEnv &env) -> int {
+        tm->issued = jsvm::nowUs();
+        for (int i = 0; i < 4; i++)
+            if (env.spawn({"/usr/bin/boot-child", std::to_string(i)}) <= 0)
+                return 1;
+        tm->spawned = jsvm::nowUs();
+        for (int i = 0; i < 4; i++)
+            if (env.waitpid(-1, nullptr, 0) <= 0)
+                return 2;
+        return 0;
+    });
+    Browsix bx(slowBootConfig());
+    stage(bx, "boot-child");
+    stage(bx, "boot-parent");
+    auto r = bx.runArgv({"/usr/bin/boot-parent"}, 60000);
+    ASSERT_TRUE(r.ok);
+    ASSERT_EQ(r.exitCode(), 0);
+
+    int64_t first = tm->start[0], last = tm->start[0];
+    for (auto &s : tm->start) {
+        ASSERT_GT(s.load(), 0);
+        EXPECT_GE(s - tm->issued, kBootUs)
+            << "every child waits out its own construction";
+        first = std::min<int64_t>(first, s);
+        last = std::max<int64_t>(last, s);
+    }
+    EXPECT_LT(tm->spawned.load(), first)
+        << "the parent had all four pids before any child ran";
+    EXPECT_LT(last - first, kBootUs) << "the children booted one by one";
+    EXPECT_EQ(bx.kernel().taskCount(), 0u);
+}
+
+TEST(Scheduler, OtherProcessesAreServedWhileAChildBoots)
+{
+    // While a child boots, the kernel loop keeps answering syscalls and
+    // the child holds no pool thread: with ONE pool thread, an already
+    // running process's getpid loop completes calls throughout the
+    // middle of the child's boot delay.
+    struct Shared
+    {
+        std::atomic<bool> stop{false};
+        std::atomic<int64_t> childStart{0};
+        std::mutex mu;
+        std::vector<int64_t> done; // completion time of each getpid
+    };
+    auto sh = std::make_shared<Shared>();
+    addProgram("boot-looper", [sh](rt::EmEnv &env) -> int {
+        while (!sh->stop) {
+            if (env.getpid() <= 0)
+                return 1;
+            std::lock_guard<std::mutex> lk(sh->mu);
+            sh->done.push_back(jsvm::nowUs());
+        }
+        return 0;
+    });
+    addProgram("boot-late", [sh](rt::EmEnv &) -> int {
+        sh->childStart = jsvm::nowUs();
+        return 0;
+    });
+    Browsix bx(slowBootConfig());
+    bx.kernel().setPoolThreads(1);
+    stage(bx, "boot-looper");
+    stage(bx, "boot-late");
+
+    int looper_exit = -1;
+    bx.kernel().spawnRoot({"/usr/bin/boot-looper"}, bx.kernel().defaultEnv,
+                          "/", [&](int st) { looper_exit = st; }, nullptr,
+                          nullptr, [](int) {});
+    ASSERT_TRUE(bx.runUntil(
+        [&]() {
+            std::lock_guard<std::mutex> lk(sh->mu);
+            return !sh->done.empty();
+        },
+        30000))
+        << "the looper never ran";
+
+    int late_exit = -1;
+    const int64_t t0 = jsvm::nowUs();
+    bx.kernel().spawnRoot({"/usr/bin/boot-late"}, bx.kernel().defaultEnv,
+                          "/", [&](int st) { late_exit = st; }, nullptr,
+                          nullptr, [](int) {});
+    ASSERT_TRUE(bx.runUntil([&]() { return late_exit != -1; }, 30000));
+    sh->stop = true;
+    ASSERT_TRUE(bx.runUntil([&]() { return looper_exit != -1; }, 30000));
+    EXPECT_EQ(sys::wexitstatus(looper_exit), 0);
+    EXPECT_GE(sh->childStart - t0, kBootUs);
+
+    size_t mid = 0;
+    {
+        std::lock_guard<std::mutex> lk(sh->mu);
+        for (int64_t t : sh->done)
+            if (t > t0 + kBootUs / 4 && t < t0 + 3 * kBootUs / 4)
+                mid++;
+    }
+    EXPECT_GT(mid, 0u)
+        << "no syscall completed during the middle of the child's boot";
+}
+
+TEST(Scheduler, BootingChildIsParkedAndSigkillBeforeBootNeverRunsIt)
+{
+    // A booting child is Parked: not queued, not on a pool thread. A
+    // SIGKILL before its boot deadline reaps it with the signal's status,
+    // and its program never runs, even after the deadline has passed.
+    auto ran = std::make_shared<std::atomic<bool>>(false);
+    addProgram("boot-victim", [ran](rt::EmEnv &) -> int {
+        *ran = true;
+        return 0;
+    });
+    Browsix bx(slowBootConfig());
+    stage(bx, "boot-victim");
+
+    int exit_st = -1, pid = 0;
+    const int64_t t0 = jsvm::nowUs();
+    bx.kernel().spawnRoot({"/usr/bin/boot-victim"}, bx.kernel().defaultEnv,
+                          "/", [&](int st) { exit_st = st; }, nullptr,
+                          nullptr, [&](int p) { pid = p; });
+    ASSERT_TRUE(bx.runUntil(
+        [&]() {
+            return pid > 0 &&
+                   bx.kernel().runState(pid) == kernel::RunState::Parked;
+        },
+        30000));
+    EXPECT_LT(jsvm::nowUs() - t0, kBootUs) << "observed after the boot";
+    EXPECT_FALSE(*ran);
+    EXPECT_EQ(bx.kernel().scheduler().queueDepth(), 0u);
+
+    EXPECT_EQ(bx.kernel().kill(pid, sys::SIGKILL), 0);
+    ASSERT_TRUE(bx.runUntil([&]() { return exit_st != -1; }, 30000));
+    EXPECT_EQ(sys::wtermsig(exit_st), sys::SIGKILL);
+    EXPECT_EQ(bx.kernel().taskCount(), 0u);
+    bx.runUntil([&]() { return jsvm::nowUs() > t0 + 2 * kBootUs; }, 30000);
+    EXPECT_FALSE(*ran) << "a process killed while booting must never run";
+}
+
+TEST(Scheduler, MessagesPostedBeforeBootArriveAfterTheBootstrap)
+{
+    // createWorker returns at once; messages posted while the worker
+    // boots (the kernel's init, then a signal) queue on its loop and are
+    // delivered in order once the bootstrap has installed onmessage —
+    // in pooled mode and in the legacy dedicated-thread mode alike.
+    for (bool pooled : {true, false}) {
+        SCOPED_TRACE(pooled ? "pooled" : "dedicated");
+        jsvm::Browser browser(slowBootProfile());
+        auto sched = std::make_shared<kernel::Scheduler>(2);
+        if (pooled)
+            browser.setExecutor(sched);
+        std::atomic<int64_t> booted{0};
+        std::mutex mu;
+        std::vector<std::string> got;
+        bool early = false; // a message ran before the bootstrap
+        const int64_t t0 = jsvm::nowUs();
+        auto w = browser.createWorker(
+            oneByteBlob(browser), [&](jsvm::WorkerScope &scope, auto) {
+                booted = jsvm::nowUs();
+                scope.setOnMessage([&](jsvm::Value v) {
+                    std::lock_guard<std::mutex> lk(mu);
+                    early |= booted == 0;
+                    got.push_back(v.get("t").asString());
+                });
+            });
+        EXPECT_LT(jsvm::nowUs() - t0, kBootUs)
+            << "createWorker must not wait out the construction";
+        for (const char *t : {"init", "signal"}) {
+            jsvm::Value msg = jsvm::Value::object();
+            msg.set("t", jsvm::Value(t));
+            w->postMessage(msg);
+        }
+        ASSERT_TRUE(browser.runUntil(
+            [&]() {
+                std::lock_guard<std::mutex> lk(mu);
+                return got.size() == 2;
+            },
+            30000));
+        EXPECT_GE(booted - t0, kBootUs);
+        EXPECT_FALSE(early);
+        EXPECT_EQ(got, (std::vector<std::string>{"init", "signal"}));
+        w->terminate();
+        sched->shutdown();
+    }
+}
+
+TEST(Scheduler, BootDelayElapsesAsVirtualTimeUnderTestClock)
+{
+    // Under a jsvm::TestClock the boot delay is virtual time, like any
+    // cost charge: a frozen clock must not hang the boot, and the first
+    // instruction still lands a full delay after creation.
+    for (bool pooled : {true, false}) {
+        SCOPED_TRACE(pooled ? "pooled" : "dedicated");
+        jsvm::TestClock clock;
+        jsvm::Browser browser(slowBootProfile());
+        auto sched = std::make_shared<kernel::Scheduler>(2);
+        if (pooled)
+            browser.setExecutor(sched);
+        std::atomic<int64_t> booted{0};
+        const int64_t t0 = jsvm::nowUs();
+        auto w = browser.createWorker(
+            oneByteBlob(browser),
+            [&](jsvm::WorkerScope &, auto) { booted = jsvm::nowUs(); });
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (booted == 0 && std::chrono::steady_clock::now() < until)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_NE(booted.load(), 0) << "the boot hung on the frozen clock";
+        EXPECT_GE(booted - t0, kBootUs) << "the boot delay was lost";
+        w->terminate();
+        sched->shutdown();
+    }
+    // And through the kernel: a whole spawn-to-exit under the clock
+    // (declared first, so the kernel's workers go before the clock).
+    jsvm::TestClock clock;
+    auto ran = std::make_shared<std::atomic<int64_t>>(0);
+    addProgram("boot-clocked", [ran](rt::EmEnv &) -> int {
+        *ran = jsvm::nowUs();
+        return 0;
+    });
+    Browsix bx(slowBootConfig());
+    stage(bx, "boot-clocked");
+    const int64_t t0 = jsvm::nowUs();
+    auto r = bx.runArgv({"/usr/bin/boot-clocked"}, 30000);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.exitCode(), 0);
+    EXPECT_GE(ran->load() - t0, kBootUs);
 }

@@ -3,22 +3,24 @@
 
 Compares the fs_micro/syscall_micro/pipe_micro/proc_micro JSON a CI run
 just produced against the committed baseline (bench/baselines/, recorded
-from smoke-tier runs). Lower-is-better metrics that regressed past the
-threshold emit GitHub error annotations and fail the job; protocol-bound
-ratio metrics (Atomics notifies per ring call) are checked against hard
-ceilings instead of a relative threshold, and the scheduler's
-10k-live-guest latency/thread metrics (flat proc_*_p99_us keys, emitted
-only by full-tier proc_micro runs — the CI stress job) are gated against
-absolute ceilings whenever present.
+from smoke-tier runs). Metrics that regressed past the threshold emit
+GitHub error annotations and fail the job: a rate row (unit ending in
+`/s`, such as MB/s or Mops/s) regresses when it falls, every other row
+when it rises. Protocol-bound ratio metrics (Atomics notifies per ring
+call) are checked against hard ceilings instead of a relative threshold,
+and the scheduler's 10k-live-guest latency/thread metrics (flat
+proc_*_p99_us keys, emitted only by full-tier proc_micro runs — the CI
+stress job) are gated against absolute ceilings whenever present.
 
 Usage: check_trajectory.py <results-dir> <baseline-dir> [threshold]
                            [--only bench[,bench...]]
 
-threshold is the allowed ratio current/baseline (default 4.0: smoke-tier
-numbers come from a single un-warmed iteration on shared CI runners, so
-only order-of-magnitude regressions are worth failing on). --only
-restricts the gate to the named benches — the CI stress job uses it to
-gate just its full-tier proc_micro results.
+threshold is the allowed ratio current/baseline, or baseline/current for
+a rate row (default 4.0: many smoke-tier numbers come from a single
+un-warmed iteration on shared CI runners, so only order-of-magnitude
+regressions are worth failing on). --only restricts the gate to the
+named benches — the CI stress job uses it to gate just its full-tier
+proc_micro results.
 """
 import json
 import os
@@ -136,8 +138,8 @@ def load(path):
     return {m["name"]: m for m in doc.get("metrics", [])}
 
 
-def main():
-    argv = list(sys.argv[1:])
+def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
     benches = BENCHES
     if "--only" in argv:
         i = argv.index("--only")
@@ -212,13 +214,21 @@ def main():
             ):
                 continue
             compared += 1
-            ratio = value / b["value"]
+            unit = m.get("unit", "")
+            # A rate (MB/s, Mops/s) is higher-is-better: it regresses
+            # when it falls, so gate the inverse ratio.
+            if unit.endswith("/s"):
+                ratio = b["value"] / value if value > 0 else float("inf")
+                change = f"1/{ratio:.2f} of"
+            else:
+                ratio = value / b["value"]
+                change = f"{ratio:.2f}x"
             if ratio > threshold:
                 failed += 1
                 print(
                     f"::error::bench-trajectory {bench}/{name}: "
-                    f"{value:.6g}{m.get('unit', '')} is {ratio:.2f}x the "
-                    f"baseline {b['value']:.6g} (threshold {threshold}x)"
+                    f"{value:.6g}{unit} is {change} the baseline "
+                    f"{b['value']:.6g} (threshold {threshold}x)"
                 )
     print(
         f"bench-trajectory: compared {compared} metrics, "

@@ -516,14 +516,18 @@ runPipeline(Browsix &bx, const std::string &driver, int chunks, int csz,
     return best;
 }
 
-/** Minimum wall-clock over `reps` runs of fn (1 in smoke mode). */
+/**
+ * Wall-clock ms of fn for a substrate row: the best of three timed runs
+ * after one untimed warm-up, at every tier, smoke included. Each caller
+ * sizes fn to at least ~1 ms of work, so jsvm::nowUs()'s 1 µs resolution
+ * and one descheduled moment cannot skew the row.
+ */
 double
-bestMs(int reps, const std::function<void()> &fn)
+bestMs(const std::function<void()> &fn)
 {
-    if (smokeMode())
-        reps = 1;
-    double best = 1e18;
-    for (int i = 0; i < reps; i++)
+    fn();
+    double best = timeMs(fn);
+    for (int rep = 1; rep < 3; rep++)
         best = std::min(best, timeMs(fn));
     return best;
 }
@@ -645,9 +649,9 @@ main()
                  ring.ms > 0 ? sync.ms / ring.ms : 0, "ratio");
 
     // ---- in-kernel pipe throughput vs buffer size ----
-    const size_t kTotal = smokeMode() ? (1u << 16) : (1u << 20);
+    const size_t kTotal = smokeMode() ? (8u << 20) : (64u << 20);
     for (size_t capacity : {size_t(4096), size_t(65536), size_t(1) << 20}) {
-        double ms = bestMs(3, [&]() {
+        double ms = bestMs([&]() {
             kernel::Pipe pipe(capacity);
             bfs::Buffer chunk(4096, 'x');
             size_t written = 0, read = 0;
@@ -677,8 +681,8 @@ main()
         kernel::Pipe pipe(4096);
         std::vector<uint8_t> dst(4096), src(4096, 'y');
         size_t moved = 0;
-        const size_t kSpanTotal = smokeMode() ? (1u << 18) : (1u << 22);
-        double ms = bestMs(3, [&]() {
+        const size_t kSpanTotal = smokeMode() ? (64u << 20) : (512u << 20);
+        double ms = bestMs([&]() {
             moved = 0;
             while (moved < kSpanTotal) {
                 // Reader parks first, so the write lands span-to-span
@@ -709,9 +713,9 @@ main()
         msg.set("data",
                 jsvm::Value::bytes(std::vector<uint8_t>(bytes, 7)));
         msg.set("name", jsvm::Value("write"));
-        const int kClones = smokeMode() ? 200 : 5000;
+        const int kClones = smokeMode() ? 20000 : 100000;
         volatile size_t sink = 0;
-        double ms = bestMs(3, [&]() {
+        double ms = bestMs([&]() {
             for (int i = 0; i < kClones; i++) {
                 jsvm::Value copy = msg.clone();
                 sink += copy.type() == jsvm::Value::Type::Object;
@@ -725,16 +729,16 @@ main()
 
     // ---- int64 emulation vs native ----
     {
-        const int kRounds = smokeMode() ? 2000 : 200000;
+        const int kRounds = smokeMode() ? 1000000 : 4000000;
         int64_t nx = 0x12345678, ny = 0x9abcdef0;
-        double native_ms = bestMs(3, [&]() {
+        double native_ms = bestMs([&]() {
             for (int i = 0; i < kRounds; i++) {
                 nx = nx * ny + 12345;
                 ny = ny ^ (nx >> 13);
             }
         });
         rt::Int64 ex(0x12345678), ey(0x9abcdef0);
-        double emu_ms = bestMs(3, [&]() {
+        double emu_ms = bestMs([&]() {
             for (int i = 0; i < kRounds; i++) {
                 ex = ex * ey + rt::Int64(12345);
                 ey = ey ^ (ex >> 13);
@@ -753,11 +757,11 @@ main()
         std::vector<uint8_t> data(65536, 0xAB);
         const int kHashes = smokeMode() ? 4 : 64;
         volatile uint32_t sink = 0;
-        double native_ms = bestMs(3, [&]() {
+        double native_ms = bestMs([&]() {
             for (int i = 0; i < kHashes; i++)
                 sink += apps::sha1Native(data)[0];
         });
-        double js_ms = bestMs(3, [&]() {
+        double js_ms = bestMs([&]() {
             for (int i = 0; i < kHashes; i++)
                 sink += apps::sha1Js(data)[0];
         });
@@ -774,12 +778,12 @@ main()
 
     // ---- Emterpreter VM interpretation rate ----
     {
-        const int kIters = smokeMode() ? 5000 : 100000;
+        const int kIters = smokeMode() ? 1000000 : 4000000;
         volatile int64_t sink = 0;
         double native_ms =
-            bestMs(3, [&]() { sink += apps::typesetNative(7, kIters); });
+            bestMs([&]() { sink += apps::typesetNative(7, kIters); });
         const emvm::Image &img = apps::typesetImage();
-        double vm_ms = bestMs(3, [&]() {
+        double vm_ms = bestMs([&]() {
             emvm::Vm vm(img);
             vm.start("typeset", {7, kIters});
             vm.run();

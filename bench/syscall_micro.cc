@@ -180,8 +180,9 @@ main()
     });
     double direct_us = direct_ms * 1000.0 / kDirect;
 
-    // Bare postMessage round-trip (charged with the Chrome profile).
-    jsvm::Browser browser(jsvm::BrowserProfile::chrome2016());
+    // Bare postMessage round-trip (charged with the Chrome profile), on
+    // a worker of bx's browser: the kernel installed its executor.
+    jsvm::Browser &browser = bx.browser();
     std::string url = browser.blobs().createObjectUrl(
         std::make_shared<const std::vector<uint8_t>>(1, 'x'));
     auto w = browser.createWorker(

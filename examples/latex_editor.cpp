@@ -56,7 +56,6 @@ main()
 {
     BootConfig cfg;
     cfg.texlive = true;
-    cfg.texPackages = 60;
     // Model the TeX Live server across a real network so laziness and
     // caching matter (20 ms RTT, ~50 Mbit/s).
     cfg.texliveNet = bfs::NetworkParams{20000, 6.25};

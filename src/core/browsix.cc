@@ -85,7 +85,7 @@ Browsix::Browsix(BootConfig cfg)
 
     if (cfg.texlive) {
         texStore_ = std::make_shared<bfs::HttpStore>();
-        apps::populateTexliveStore(*texStore_, cfg.texPackages);
+        apps::populateTexliveStore(*texStore_);
         texCache_ = cfg.httpCache ? cfg.httpCache
                                   : std::make_shared<bfs::BrowserHttpCache>();
         texHttp_ = std::make_shared<bfs::HttpBackend>(
@@ -95,7 +95,7 @@ Browsix::Browsix(BootConfig cfg)
         auto upper = std::make_shared<bfs::InMemBackend>();
         texOverlay_ = std::make_shared<bfs::OverlayBackend>(upper, texHttp_);
         vfs_->mount("/texlive", texOverlay_);
-        apps::stageLatexProject(*root_, "/home", cfg.latexPages);
+        apps::stageLatexProject(*root_, "/home");
     }
     if (cfg.memeAssets)
         apps::stageMemeAssets(*root_);

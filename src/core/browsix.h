@@ -36,8 +36,6 @@ struct BootConfig
     /// Mount the HTTP-backed TeX Live overlay at /texlive and stage a
     /// LaTeX project at /home (§2).
     bool texlive = false;
-    size_t texPackages = 60;
-    int latexPages = 1;
     bfs::NetworkParams texliveNet{/*rttUs=*/0, /*bytesPerUs=*/0};
     /// Browser HTTP cache; share one across Browsix instances to model
     /// a warm second visit.

@@ -22,13 +22,6 @@ Browser::setExecutor(std::shared_ptr<WorkerExecutor> exec)
     executor_ = std::move(exec);
 }
 
-std::shared_ptr<WorkerExecutor>
-Browser::executor() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return executor_;
-}
-
 std::shared_ptr<Worker>
 Browser::createWorker(const std::string &url, Worker::Main main)
 {
@@ -37,17 +30,21 @@ Browser::createWorker(const std::string &url, Worker::Main main)
         panic("createWorker: unknown blob URL " + url);
 
     uint64_t id;
+    std::shared_ptr<WorkerExecutor> exec;
     {
         std::lock_guard<std::mutex> lk(mutex_);
+        exec = executor_;
         id = nextWorkerId_++;
     }
+    if (!exec)
+        panic("createWorker: no executor installed (Browser::setExecutor)");
     // Not make_shared: the constructor is private.
     std::shared_ptr<Worker> w(new Worker(*this, id, script, std::move(main)));
     {
         std::lock_guard<std::mutex> lk(mutex_);
         workers_.push_back(w);
     }
-    w->start(costs_.workerBootUs(script->size()));
+    w->start(std::move(exec), costs_.workerBootUs(script->size()));
     return w;
 }
 

@@ -4,7 +4,9 @@
  *
  * The Browsix kernel runs "in the main browser context" — i.e. on this
  * object's main event loop, which the embedding application pumps (just as
- * a web page yields to the browser's event loop).
+ * a web page yields to the browser's event loop). Workers run on the
+ * executor installed with setExecutor (the kernel's worker pool); see
+ * worker.h.
  */
 #pragma once
 
@@ -32,21 +34,21 @@ class Browser
     BlobRegistry &blobs() { return blobs_; }
 
     /**
-     * Install the worker-pool executor. Workers created while one is set
-     * run in pooled mode (see worker.h); set before the first createWorker.
-     * Workers capture the shared_ptr at start, so the executor outlives
-     * every worker scheduled on it.
+     * Install the worker-pool executor every later createWorker schedules
+     * its worker on (see worker.h). Workers capture the shared_ptr at
+     * start, so the executor outlives every worker scheduled on it.
      */
     void setExecutor(std::shared_ptr<WorkerExecutor> exec);
-    std::shared_ptr<WorkerExecutor> executor() const;
 
     /**
      * Construct a Worker from a blob: URL. Returns at once, as `new
      * Worker()` does: the worker waits out its own construction and parse
      * (CostModel::workerBootUs of the script size) before `main` runs.
+     * Panics when no executor is installed.
      *
      * @param url blob URL of the worker script (the executable's bytes).
-     * @param main the bootstrap run on the worker thread with the bytes.
+     * @param main the bootstrap, run in the worker's first step with the
+     *        bytes.
      */
     std::shared_ptr<Worker> createWorker(const std::string &url,
                                          Worker::Main main);
@@ -66,7 +68,7 @@ class Browser
     EventLoop mainLoop_;
     BlobRegistry blobs_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::shared_ptr<WorkerExecutor> executor_;
     uint64_t nextWorkerId_ = 1;
     std::vector<std::weak_ptr<Worker>> workers_;

@@ -95,7 +95,7 @@ EventLoop::takeTask(Task &out, bool wait)
             queue_.pop_front();
             return true;
         }
-        if (stopped_ || !wait)
+        if (!wait)
             return false;
         // Sleep until the next timer is due or something is posted.
         int64_t next = std::numeric_limits<int64_t>::max();
@@ -133,28 +133,6 @@ EventLoop::pump()
     return n;
 }
 
-void
-EventLoop::run()
-{
-    while (!stopped()) {
-        if (!pumpOne(true)) {
-            if (stopped())
-                break;
-        }
-    }
-    // Drain nothing further: a stopped context runs no more tasks.
-}
-
-void
-EventLoop::stop()
-{
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        stopped_ = true;
-    }
-    cv_.notify_all();
-}
-
 int64_t
 EventLoop::nextTimerDueUs() const
 {
@@ -171,13 +149,6 @@ EventLoop::idle() const
 {
     std::lock_guard<std::mutex> lk(mutex_);
     return queue_.empty() && timers_.empty();
-}
-
-bool
-EventLoop::stopped() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return stopped_;
 }
 
 } // namespace jsvm

@@ -32,8 +32,8 @@ class EventLoop
 
     /**
      * Install a hook invoked (outside the loop lock) whenever a task or
-     * timer is posted. The pooled worker scheduler uses this to re-enqueue
-     * a parked worker when work arrives for its loop.
+     * timer is posted. A worker uses this to re-enqueue itself on the
+     * pool when work arrives for its loop while it is parked.
      */
     void setWakeHook(Task hook);
 
@@ -43,16 +43,10 @@ class EventLoop
     /** Cancel a pending timer; no-op if already fired. */
     void clearTimeout(uint64_t id);
 
-    /** Run tasks until stop() is called. */
-    void run();
-
-    /** Request run() to return; thread-safe. */
-    void stop();
-
     /**
      * Run a single task.
      *
-     * @param wait block until a task is ready (or stop) when none pending.
+     * @param wait block until a task is ready when none pending.
      * @return true if a task ran.
      */
     bool pumpOne(bool wait);
@@ -70,9 +64,6 @@ class EventLoop
      */
     int64_t nextTimerDueUs() const;
 
-    /** True once stop() has been called. */
-    bool stopped() const;
-
     /** The loop currently executing on this thread, or nullptr. */
     static EventLoop *current();
 
@@ -83,7 +74,7 @@ class EventLoop
         Task fn;
     };
 
-    // Pop one ready task; with wait, blocks until ready/stopped.
+    // Pop one ready task; with wait, blocks until one is ready.
     bool takeTask(Task &out, bool wait);
     void promoteDueTimersLocked(int64_t now);
 
@@ -92,7 +83,6 @@ class EventLoop
     std::deque<Task> queue_;
     std::map<uint64_t, Timer> timers_; // id -> timer; ids are monotonic
     uint64_t nextTimerId_ = 1;
-    bool stopped_ = false;
     Task wakeHook_;
 };
 

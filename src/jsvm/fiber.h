@@ -1,12 +1,12 @@
 /**
  * @file
- * Resumable guest execution contexts for the pooled worker scheduler.
+ * Resumable guest execution contexts for the worker-pool scheduler.
  *
- * A Fiber is a ucontext-backed stackful coroutine owned by a Worker. In
- * pooled mode every guest "thread" (an Emscripten program, a goroutine, a
- * bytecode VM host loop) runs as a fiber multiplexed onto a fixed pool of
- * host threads: a blocked guest parks its fiber and costs zero threads
- * until the wake event re-enqueues its worker.
+ * A Fiber is a ucontext-backed stackful coroutine owned by a Worker. Every
+ * guest "thread" (an Emscripten program, a goroutine, a bytecode VM host
+ * loop) runs as a fiber multiplexed onto a fixed pool of host threads: a
+ * blocked guest parks its fiber and costs zero threads until the wake
+ * event re-enqueues its worker.
  *
  * Parker protocol (the wake/park race is decided by a three-state cell):
  *

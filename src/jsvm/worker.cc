@@ -1,7 +1,5 @@
 #include "jsvm/worker.h"
 
-#include <chrono>
-
 #include "jsvm/browser.h"
 #include "jsvm/test_clock.h"
 #include "jsvm/util.h"
@@ -58,12 +56,6 @@ WorkerScope::startGuest(std::function<void()> fn)
     worker_.startGuest(std::move(fn));
 }
 
-bool
-WorkerScope::pooled() const
-{
-    return worker_.pooled();
-}
-
 void
 WorkerScope::atExit(std::function<void()> fn)
 {
@@ -79,40 +71,21 @@ Worker::Worker(Browser &browser, uint64_t id,
 }
 
 void
-Worker::start(int64_t boot_delay_us)
+Worker::start(std::shared_ptr<WorkerExecutor> executor,
+              int64_t boot_delay_us)
 {
     if (boot_delay_us > 0)
         bootDueUs_ = nowUs() + boot_delay_us;
     scope_ = std::make_unique<WorkerScope>(*this);
-    if (auto exec = browser_.executor()) {
-        pooled_ = true;
-        executor_ = std::move(exec);
-        std::weak_ptr<Worker> wself = weak_from_this();
-        loop_.setWakeHook([wself]() {
-            if (auto s = wself.lock())
-                s->signalWork();
-        });
-        // The bootstrap (script evaluation) runs in the first step past
-        // the boot delay; spawn is a queue push, not a thread launch.
-        signalWork();
-        return;
-    }
-    auto self = shared_from_this();
-    thread_ = std::thread([self]() {
-        // Construction and parse happen here, on the worker's own
-        // thread; the bootstrap then installs onmessage and returns.
-        if (self->waitForBoot() && self->main_)
-            self->main_(*self->scope_, self->script_);
-        self->loop_.run();
-        // Loop stopped (terminate): unwind worker-local threads.
-        std::vector<std::function<void()>> fns;
-        {
-            std::lock_guard<std::mutex> lk(self->mutex_);
-            fns.swap(self->atExit_);
-        }
-        for (auto &fn : fns)
-            fn();
+    executor_ = std::move(executor);
+    std::weak_ptr<Worker> wself = weak_from_this();
+    loop_.setWakeHook([wself]() {
+        if (auto s = wself.lock())
+            s->signalWork();
     });
+    // The bootstrap (script evaluation) runs in the first step past the
+    // boot delay; spawn is a queue push, not a thread launch.
+    signalWork();
 }
 
 bool
@@ -130,39 +103,9 @@ Worker::bootDue()
     return false;
 }
 
-bool
-Worker::waitForBoot()
-{
-    std::unique_lock<std::mutex> lk(mutex_);
-    while (!terminated_ && !bootDue())
-        bootCv_.wait_for(lk, std::chrono::microseconds(bootDueUs_ - nowUs()));
-    return !terminated_;
-}
-
 void
 Worker::startGuest(std::function<void()> fn)
 {
-    if (!pooled_) {
-        auto th = std::make_shared<std::thread>();
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (terminated_)
-            return; // dropped, like a queued-but-killed guest
-        // Register the join and launch in ONE critical section: teardown
-        // swaps atExit_ under mutex_, so it either sees nothing (guest
-        // dropped above) or a registered join whose handle was already
-        // assigned — never a half-constructed thread it fails to join.
-        atExit_.push_back([th]() {
-            if (th->joinable())
-                th->join();
-        });
-        *th = std::thread([fn = std::move(fn)]() {
-            try {
-                fn();
-            } catch (const WorkerTerminated &) {
-            }
-        });
-        return;
-    }
     std::weak_ptr<Worker> wself = weak_from_this();
     {
         std::lock_guard<std::mutex> lk(mutex_);
@@ -199,8 +142,6 @@ Worker::fiberWoken(uint64_t fiber_id)
 void
 Worker::signalWork()
 {
-    if (!pooled_)
-        return; // legacy: the dedicated thread's loop cv does the waking
     auto self = weak_from_this().lock();
     if (!self)
         return; // destructor context: ~Worker unwinds inline
@@ -401,8 +342,6 @@ Worker::finishStep()
 Worker::RunPhase
 Worker::runPhase() const
 {
-    if (!pooled_)
-        return RunPhase::Dedicated;
     switch (schedState_.load(std::memory_order_seq_cst)) {
     case SchedState::Running:
     case SchedState::Dirty:
@@ -418,7 +357,7 @@ Worker::runPhase() const
 Worker::~Worker()
 {
     terminate();
-    if (pooled_ && !tornDown_) {
+    if (!tornDown_) {
         // No other reference exists (we are the destructor), so no pool
         // thread can be stepping this worker: unwind inline.
         schedState_.store(SchedState::Running, std::memory_order_seq_cst);
@@ -464,20 +403,10 @@ Worker::terminate()
         parentHandler_ = nullptr;
         workerHandler_ = nullptr;
     }
-    bootCv_.notify_all();
     token_.interrupt();
-    loop_.stop();
-    if (pooled_) {
-        // Non-blocking: enqueue a final step so a pool thread unwinds the
-        // fibers (throwing WorkerTerminated at their park sites).
-        signalWork();
-        return;
-    }
-    if (thread_.joinable()) {
-        if (thread_.get_id() == std::this_thread::get_id())
-            panic("Worker::terminate called from the worker's own thread");
-        thread_.join();
-    }
+    // Non-blocking: enqueue a final step so a pool thread unwinds the
+    // fibers (throwing WorkerTerminated at their park sites).
+    signalWork();
 }
 
 bool

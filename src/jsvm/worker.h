@@ -6,35 +6,27 @@
  * and communicate only via postMessage, whose payloads are structured-clone
  * copied. Browsix builds Unix processes on top of these (§3.3).
  *
- * Two execution modes:
+ * A worker is a run-queue item on its Browser's executor
+ * (Browser::setExecutor; the kernel installs its kernel::Scheduler). A
+ * fixed pool of host threads pops workers and calls step(), which pumps
+ * the worker's event loop and resumes its guest fibers. Parked guests cost
+ * zero threads; every wake-up (a message, a timer, a woken fiber) goes
+ * through signalWork(), which re-enqueues the worker. This is what takes
+ * the process table to 10k+ live.
  *
- *  - Legacy (no executor installed on the Browser): each worker owns a
- *    dedicated host thread running its event loop, and each guest
- *    execution context (startGuest) is another host thread. Simple, but
- *    two threads per process caps the system near 1k live guests.
- *
- *  - Pooled (Browser::setExecutor): the worker is a run-queue item. A
- *    fixed pool of host threads (kernel::Scheduler) pops workers and calls
- *    step(), which pumps the worker's event loop and resumes its guest
- *    fibers. Parked guests cost zero threads; their wake event re-enqueues
- *    the worker. This is what takes the process table to 10k+ live.
- *
- * Either way a new worker boots like a browser's: `new Worker()` returns
- * at once, and the worker itself waits out its construction and script
- * parse (CostModel::workerBootUs) before the bootstrap runs — on a
- * scheduler timer in pooled mode, on its own thread in legacy mode.
- * Messages posted meanwhile queue on its loop and arrive after the
+ * A new worker boots like a browser's: `new Worker()` returns at once, and
+ * the worker itself waits out its construction and script parse
+ * (CostModel::workerBootUs) on a scheduler timer before the bootstrap
+ * runs. Messages posted meanwhile queue on its loop and arrive after the
  * bootstrap has installed onmessage.
  */
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "jsvm/event_loop.h"
@@ -50,8 +42,8 @@ class Worker;
 class CostModel;
 
 /**
- * Where pooled workers get their host-thread time. Implemented by the
- * kernel's Scheduler; declared here so jsvm stays independent of kernel.
+ * Where workers get their host-thread time. Implemented by the kernel's
+ * Scheduler; declared here so jsvm stays independent of kernel.
  */
 class WorkerExecutor
 {
@@ -93,18 +85,14 @@ class WorkerScope
 
     /**
      * Launch a guest execution context running fn: a fiber multiplexed on
-     * the worker pool in pooled mode, a dedicated host thread (joined at
-     * exit) in legacy mode. fn may block in Atomics::wait, blockingCall,
-     * and channel waits; on termination those sites throw WorkerTerminated
-     * to unwind it.
+     * the worker pool. fn may block in Atomics::wait, blockingCall, and
+     * channel waits; on termination those sites throw WorkerTerminated (or
+     * return Interrupted) to unwind it.
      */
     void startGuest(std::function<void()> fn);
 
-    /** True when this worker multiplexes guests on the shared pool. */
-    bool pooled() const;
-
-    /** Run fn after the loop stops (e.g. join app threads the language
-     * runtime started). */
+    /** Run fn once the worker is torn down, after every guest fiber has
+     * unwound (e.g. release state the guests captured). */
     void atExit(std::function<void()> fn);
 
   private:
@@ -117,7 +105,8 @@ class WorkerScope
 class Worker : public std::enable_shared_from_this<Worker>
 {
   public:
-    /// The "script": invoked once on the worker thread before the loop runs.
+    /// The "script": invoked once, in the worker's first step past its
+    /// boot delay, before the loop runs any message.
     using Main = std::function<void(WorkerScope &,
                                     std::shared_ptr<const std::vector<uint8_t>>)>;
 
@@ -131,21 +120,20 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     /**
      * Immediately terminate the worker, like Worker.terminate(): wakes any
-     * Atomics.wait and stops the loop. Legacy mode joins the dedicated
-     * thread; pooled mode re-enqueues the worker so a pool thread unwinds
-     * its fibers (a queued-but-never-run guest is simply dropped).
-     * Idempotent.
+     * Atomics.wait, stops the loop, and re-enqueues the worker so a pool
+     * thread unwinds its fibers (a queued-but-never-run guest is simply
+     * dropped). Returns without waiting for the unwind. Idempotent.
      */
     void terminate();
 
     bool terminated() const;
 
     /**
-     * Pooled mode: run one scheduling quantum on the calling thread —
-     * bootstrap on the first call after the boot delay (before it, the
-     * step only re-arms the boot timer), pump the event loop, resume each
-     * runnable fiber once, then either re-enqueue (more work / signalled
-     * during the step) or go idle. Called only by the executor, never
+     * Run one scheduling quantum on the calling thread — bootstrap on
+     * the first call after the boot delay (before it, the step only
+     * re-arms the boot timer), pump the event loop, resume each runnable
+     * fiber once, then either re-enqueue (more work / signalled during
+     * the step) or go idle. Called only by the executor, never
      * concurrently.
      */
     void step();
@@ -158,14 +146,11 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     /** Scheduling phase for introspection (kernel run states). */
     enum class RunPhase {
-        Dedicated, ///< legacy mode: guest owns host threads
-        Running,   ///< a pool thread is stepping it right now
-        Queued,    ///< in the run queue waiting for a pool thread
-        Parked     ///< idle: every guest is parked, no pending work
+        Running, ///< a pool thread is stepping it right now
+        Queued,  ///< in the run queue waiting for a pool thread
+        Parked   ///< idle: every guest is parked, no pending work
     };
     RunPhase runPhase() const;
-
-    bool pooled() const { return pooled_; }
 
     InterruptToken &token() { return token_; }
     uint64_t id() const { return id_; }
@@ -176,9 +161,9 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     Worker(Browser &browser, uint64_t id,
            std::shared_ptr<const std::vector<uint8_t>> script, Main main);
-    void start(int64_t boot_delay_us);
+    void start(std::shared_ptr<WorkerExecutor> executor,
+               int64_t boot_delay_us);
     bool bootDue();
-    bool waitForBoot();
     void startGuest(std::function<void()> fn);
     void fiberWoken(uint64_t fiber_id);
     void resumeRunnableFibers();
@@ -186,7 +171,7 @@ class Worker : public std::enable_shared_from_this<Worker>
     void finishStep();
     bool hasPendingWork();
 
-    /// One guest execution context in pooled mode.
+    /// One guest execution context.
     struct GuestFiber
     {
         uint64_t id = 0;
@@ -194,7 +179,7 @@ class Worker : public std::enable_shared_from_this<Worker>
         std::unique_ptr<Fiber> fiber;
     };
 
-    /// Pooled scheduling state; transitions are lock-free CAS.
+    /// Scheduling state; transitions are lock-free CAS.
     enum class SchedState : int {
         Idle,    ///< not queued, not running
         Queued,  ///< in the executor's run queue
@@ -209,10 +194,8 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     EventLoop loop_;
     InterruptToken token_;
-    std::thread thread_;                 // legacy mode only
     std::unique_ptr<WorkerScope> scope_; // worker-owned: outlives all guests
 
-    bool pooled_ = false;
     std::shared_ptr<WorkerExecutor> executor_;
     std::atomic<SchedState> schedState_{SchedState::Idle};
     int64_t bootDueUs_ = 0; // set by start(), then read-only
@@ -220,7 +203,6 @@ class Worker : public std::enable_shared_from_this<Worker>
     bool tornDown_ = false; // step-thread only
 
     mutable std::mutex mutex_;
-    std::condition_variable bootCv_; // legacy mode: terminate ends the wait
     bool terminated_ = false;
     uint64_t nextFiberId_ = 1;
     std::vector<std::shared_ptr<GuestFiber>> fibers_;

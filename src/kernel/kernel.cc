@@ -61,7 +61,6 @@ Kernel::runState(int pid)
       case jsvm::Worker::RunPhase::Parked:
         return RunState::Parked;
       case jsvm::Worker::RunPhase::Running:
-      case jsvm::Worker::RunPhase::Dedicated:
         break;
     }
     return RunState::Running;

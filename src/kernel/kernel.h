@@ -368,7 +368,7 @@ class Kernel
     Bootstrapper bootstrapper_;
     KernelStats stats_;
     /// The worker pool every process runs on (installed as the Browser's
-    /// executor in the ctor, so workers are pooled from birth).
+    /// executor in the ctor; createWorker requires one).
     std::shared_ptr<Scheduler> sched_;
     int nprocLimit_ = 4096;
     /// Liveness tag for loop tasks the kernel posts to itself (scheduled

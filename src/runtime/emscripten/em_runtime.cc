@@ -943,9 +943,8 @@ EmscriptenRuntime::boot(jsvm::WorkerScope &scope,
 {
     client->onInit([&scope, client, program = std::move(program), mode,
                     emterpreter](const InitInfo &) {
-        // The program runs as a guest context owned by the worker (a
-        // pooled fiber, or a legacy thread joined at exit) — it can never
-        // outlive the scope it captures.
+        // The program runs as a guest fiber owned by the worker — it can
+        // never outlive the scope it captures.
         scope.startGuest([&scope, client, program, mode, emterpreter]() {
             try {
                 auto env = std::make_shared<EmEnv>(client, mode, emterpreter,
@@ -1065,9 +1064,8 @@ EmVmHost::boot(jsvm::WorkerScope &scope,
 {
     client->onInit([&scope, client,
                     image = std::move(image)](const InitInfo &init) {
-        // Guest context owned by the worker (fiber or joined thread); the
-        // old detached-thread-capturing-&scope pattern could use the scope
-        // after it died when a teardown raced the guest's exit.
+        // A guest fiber owned by the worker, so it can never outlive the
+        // scope it captures.
         scope.startGuest([&scope, client, image, init]() {
             emvm::Vm vm(image);
             bool resumed = false;

@@ -199,8 +199,12 @@ GoRuntime::boot(jsvm::WorkerScope &scope,
     client->onInit([&scope, client,
                     program = std::move(program)](const InitInfo &) {
         auto env = std::make_shared<GoEnv>(client, scope);
-        // The main goroutine is a guest context (fiber or thread; see
-        // WorkerScope::startGuest) that owns process exit.
+        // Goroutines hold the env by reference and may outlive main:
+        // anchor it to the worker, which releases it only after every
+        // goroutine has unwound.
+        scope.atExit([env]() {});
+        // The main goroutine is a guest fiber (WorkerScope::startGuest)
+        // that owns process exit.
         scope.startGuest([client, env, program]() {
             int code = 0;
             try {

@@ -83,8 +83,8 @@ class Chan
     waitOn(std::unique_lock<std::mutex> &lk, Pred pred)
     {
         uint64_t waker = token_->addWaker([this]() {
-            // A goroutine may be a pooled fiber: notifyAll (under the
-            // channel mutex) wakes thread and fiber waiters alike.
+            // A goroutine is a fiber, a test's waiter a host thread:
+            // notifyAll (under the channel mutex) wakes both alike.
             std::lock_guard<std::mutex> lk2(m_);
             cv_.notifyAll();
         });
@@ -117,8 +117,8 @@ class GoEnv
     int pid() const { return init_.pid; }
     jsvm::InterruptToken *token();
 
-    /** Spawn a goroutine: a guest context on the worker (a pooled fiber,
-     * or a dedicated thread joined when the worker dies). */
+    /** Spawn a goroutine: a guest fiber on the worker, unwound when the
+     * worker dies. */
     void go(std::function<void()> fn);
 
     /** syscall.RawSyscall: suspend this goroutine until the reply. */

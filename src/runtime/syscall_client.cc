@@ -112,72 +112,38 @@ CallResult
 blockingCall(SyscallClient &client, const std::string &name,
              jsvm::Value::Array args)
 {
-    if (jsvm::Fiber *f = jsvm::Fiber::current()) {
-        // Pooled mode: fiber execution is serialized with the worker
-        // loop's tasks (both run inside Worker::step), so the call can be
-        // issued directly; the reply callback runs on a later loop pump
-        // and wakes the parked fiber.
-        jsvm::InterruptToken &token = client.scope().token();
-        struct State
-        {
-            bool done = false;
-            CallResult result;
-        };
-        auto st = std::make_shared<State>();
-        uint64_t waker = token.addWaker([f]() { f->wake(); });
-        client.call(name, std::move(args),
-                    [st, f](int64_t r0, int64_t r1, jsvm::Value data) {
-                        st->result.r0 = r0;
-                        st->result.r1 = r1;
-                        st->result.data = std::move(data);
-                        st->done = true;
-                        f->wake();
-                    });
-        while (!st->done) {
-            if (token.interrupted()) {
-                token.removeWaker(waker);
-                throw jsvm::WorkerTerminated{};
-            }
-            jsvm::Fiber::park();
-        }
-        token.removeWaker(waker);
-        return st->result;
-    }
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    CallResult result;
-
+    // Fiber execution is serialized with the worker loop's tasks (both
+    // run inside Worker::step), so the call can be issued directly; the
+    // reply callback runs on a later loop pump and wakes the parked fiber.
+    jsvm::Fiber *f = jsvm::Fiber::current();
+    if (!f)
+        jsvm::panic("blockingCall: not inside a guest fiber "
+                    "(WorkerScope::startGuest)");
     jsvm::InterruptToken &token = client.scope().token();
-    uint64_t waker = token.addWaker([&]() {
-        std::lock_guard<std::mutex> lk(m);
-        cv.notify_all();
-    });
-
-    // The call itself must be issued from the worker loop thread.
-    client.scope().loop().post(
-        [&client, name, args = std::move(args), &m, &cv, &done,
-         &result]() mutable {
-            client.call(name, std::move(args),
-                        [&m, &cv, &done, &result](int64_t r0, int64_t r1,
-                                                  jsvm::Value data) {
-                            std::lock_guard<std::mutex> lk(m);
-                            result.r0 = r0;
-                            result.r1 = r1;
-                            result.data = std::move(data);
-                            done = true;
-                            cv.notify_all();
-                        });
-        });
-
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&]() { return done || token.interrupted(); });
-    lk.unlock();
+    struct State
+    {
+        bool done = false;
+        CallResult result;
+    };
+    auto st = std::make_shared<State>();
+    uint64_t waker = token.addWaker([f]() { f->wake(); });
+    client.call(name, std::move(args),
+                [st, f](int64_t r0, int64_t r1, jsvm::Value data) {
+                    st->result.r0 = r0;
+                    st->result.r1 = r1;
+                    st->result.data = std::move(data);
+                    st->done = true;
+                    f->wake();
+                });
+    while (!st->done) {
+        if (token.interrupted()) {
+            token.removeWaker(waker);
+            throw jsvm::WorkerTerminated{};
+        }
+        jsvm::Fiber::park();
+    }
     token.removeWaker(waker);
-    if (!done)
-        throw jsvm::WorkerTerminated{};
-    return result;
+    return st->result;
 }
 
 SyncSyscalls::SyncSyscalls(SyscallClient &client, size_t heap_bytes)

@@ -9,7 +9,7 @@
  * Four façades:
  *  - SyscallClient: raw async (CPS) calls + init/signal dispatch; must be
  *    used from the worker's loop thread.
- *  - blockingCall(): lets a runtime's "app thread" (the Emterpreter or a
+ *  - blockingCall(): lets a runtime's guest fiber (the Emterpreter or a
  *    goroutine) issue an async call and park until the reply.
  *  - SyncSyscalls: the synchronous convention — a shared heap registered
  *    with the kernel ("personality"), calls that block in Atomics.wait.
@@ -24,10 +24,8 @@
  */
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,10 +99,10 @@ struct CallResult
 };
 
 /**
- * Issue an async syscall from an app thread and park until the reply;
- * throws jsvm::WorkerTerminated if the worker is killed meanwhile. This
- * is the Emterpreter's save/restore-the-stack trick and GopherJS's
- * suspended goroutine, in substrate form.
+ * Issue an async syscall from a guest fiber (WorkerScope::startGuest) and
+ * park until the reply; throws jsvm::WorkerTerminated if the worker is
+ * killed meanwhile. This is the Emterpreter's save/restore-the-stack
+ * trick and GopherJS's suspended goroutine, in substrate form.
  */
 CallResult blockingCall(SyscallClient &client, const std::string &name,
                         jsvm::Value::Array args);

@@ -11,6 +11,7 @@
 
 #include "apps/registry.h"
 #include "core/browsix.h"
+#include "jsvm/fiber.h"
 #include "runtime/gopher/go_runtime.h"
 
 using namespace browsix;
@@ -225,6 +226,35 @@ TEST(GoRuntime, KilledServerGoroutinesUnwindCleanly)
     EXPECT_EQ(x.err, 0);
     bx.kernel().kill(pid, sys::SIGKILL);
     ASSERT_TRUE(bx.runUntil([&]() { return exited; }, 10000));
+    EXPECT_EQ(bx.kernel().taskCount(), 0u);
+}
+
+TEST(GoRuntime, GoroutinesOutliveAReturnedMain)
+{
+    // Goroutines hold the GoEnv by reference, so it must live until the
+    // last of them unwinds, not only until main returns: here main exits
+    // while its goroutine keeps making syscalls through the env (the asan
+    // preset reports any use of a freed env).
+    apps::registerAllPrograms();
+    apps::ProgramRegistry::instance().add(apps::ProgramSpec{
+        "go-orphan", apps::RuntimeKind::Gopher, 128, nullptr,
+        [](rt::GoEnv &env) {
+            env.go([&env]() {
+                for (;;)
+                    env.rawSyscall("getpid", {});
+            });
+            // runtime.Gosched(): main and the goroutine share the next
+            // quantum, main first, so the goroutine runs right after main
+            // has returned.
+            jsvm::Fiber::yieldNow();
+        }});
+    Browsix bx;
+    bx.rootFs().writeFile(
+        "/usr/bin/go-orphan",
+        apps::ProgramRegistry::instance().bundleFor("go-orphan"));
+    auto r = bx.runArgv({"/usr/bin/go-orphan"}, 30000);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.exitCode(), 0);
     EXPECT_EQ(bx.kernel().taskCount(), 0u);
 }
 

@@ -12,6 +12,7 @@
 #include "jsvm/cost_model.h"
 #include "jsvm/test_clock.h"
 #include "jsvm/util.h"
+#include "kernel/scheduler.h"
 
 using namespace browsix::jsvm;
 
@@ -22,6 +23,27 @@ bytes(std::initializer_list<uint8_t> b)
 {
     return std::make_shared<const std::vector<uint8_t>>(b);
 }
+
+/**
+ * A Browser whose workers run on a two-thread kernel::Scheduler. The
+ * destructor retires the pool from the test thread, as ~Kernel does:
+ * otherwise a pool thread could drop the last Scheduler reference, and
+ * ~Scheduler would join the pool from inside one of its own threads.
+ */
+class WorkerTest : public ::testing::Test
+{
+  protected:
+    WorkerTest() { browser.setExecutor(sched); }
+    ~WorkerTest() override
+    {
+        browser.terminateAll();
+        sched->shutdown();
+    }
+
+    std::shared_ptr<browsix::kernel::Scheduler> sched =
+        std::make_shared<browsix::kernel::Scheduler>(2);
+    Browser browser;
+};
 
 } // namespace
 
@@ -143,18 +165,15 @@ TEST(EventLoop, ClearTimeoutCancels)
     EXPECT_TRUE(loop.idle());
 }
 
-TEST(EventLoop, CrossThreadPostWakesRun)
+TEST(EventLoop, CrossThreadPostWakesBlockingPump)
 {
     EventLoop loop;
     std::atomic<bool> ran{false};
     std::thread t([&]() {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        loop.post([&]() {
-            ran = true;
-            loop.stop();
-        });
+        loop.post([&]() { ran = true; });
     });
-    loop.run();
+    EXPECT_TRUE(loop.pumpOne(true)) << "the post must end the wait";
     t.join();
     EXPECT_TRUE(ran);
 }
@@ -409,9 +428,8 @@ TEST(Blob, UrlsAreUnique)
 
 // ---------- Worker ----------
 
-TEST(Worker, EchoRoundtrip)
+TEST_F(WorkerTest, EchoRoundtrip)
 {
-    Browser browser;
     std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
         scope.setOnMessage([&scope](Value v) {
@@ -430,9 +448,8 @@ TEST(Worker, EchoRoundtrip)
     w->terminate();
 }
 
-TEST(Worker, MessagesAreCopiedNotShared)
+TEST_F(WorkerTest, MessagesAreCopiedNotShared)
 {
-    Browser browser;
     std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto payload = std::make_shared<std::vector<uint8_t>>(
         std::vector<uint8_t>{1, 2, 3});
@@ -454,29 +471,36 @@ TEST(Worker, MessagesAreCopiedNotShared)
     w->terminate();
 }
 
-TEST(Worker, TerminateInterruptsAtomicsWait)
+TEST_F(WorkerTest, TerminateInterruptsAtomicsWait)
 {
-    Browser browser;
     std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
-    std::atomic<bool> unwound{false};
-    auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
-        auto th = std::make_shared<std::thread>([&scope, sab, &unwound]() {
-            WaitResult r =
-                Atomics::wait(*sab, 0, 0, -1, &scope.token());
-            if (r == WaitResult::Interrupted)
-                unwound = true;
+    auto waiting = std::make_shared<std::atomic<bool>>(false);
+    auto unwound = std::make_shared<std::atomic<bool>>(false);
+    auto w = browser.createWorker(url, [=](WorkerScope &scope, auto) {
+        InterruptToken *token = &scope.token();
+        scope.startGuest([sab, token, waiting, unwound]() {
+            *waiting = true;
+            if (Atomics::wait(*sab, 0, 0, -1, token) ==
+                WaitResult::Interrupted)
+                *unwound = true;
         });
-        scope.atExit([th]() { th->join(); });
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // A guest killed before its first quantum is dropped without running,
+    // so terminate only once it has reached the wait.
+    auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!*waiting && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(*waiting);
     w->terminate();
-    EXPECT_TRUE(unwound);
+    // terminate() returns at once; a pool thread unwinds the fiber.
+    while (!*unwound && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(*unwound);
 }
 
-TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
+TEST_F(WorkerTest, SharedMemoryIsVisibleAcrossContexts)
 {
-    Browser browser;
     std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
@@ -498,9 +522,8 @@ TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
     w->terminate();
 }
 
-TEST(Worker, TerminatedWorkerDropsMessages)
+TEST_F(WorkerTest, TerminatedWorkerDropsMessages)
 {
-    Browser browser;
     std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
     std::atomic<int> received{0};
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
@@ -510,6 +533,15 @@ TEST(Worker, TerminatedWorkerDropsMessages)
     w->postMessage(Value(1));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_EQ(received, 0);
+}
+
+TEST(BrowserDeathTest, CreateWorkerWithoutExecutorPanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Browser browser;
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
+    EXPECT_DEATH(browser.createWorker(url, [](WorkerScope &, auto) {}),
+                 "no executor installed");
 }
 
 // ---------- Cost model ----------

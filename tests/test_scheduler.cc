@@ -85,8 +85,6 @@ TEST(Scheduler, ProcessesAreQueueItemsNotThreads)
     kernel::Task *t = bx.kernel().task(pid);
     ASSERT_NE(t, nullptr);
     ASSERT_NE(t->worker, nullptr);
-    EXPECT_TRUE(t->worker->pooled())
-        << "kernel-spawned workers must ride the pool";
 
     // Once it blocks on its empty pipe the process costs zero threads:
     // the worker winds down to Parked (idle, not queued, not running).
@@ -291,7 +289,6 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
             }
         });
     });
-    ASSERT_TRUE(w->pooled());
     const int kRounds = 300;
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -488,47 +485,42 @@ TEST(Scheduler, MessagesPostedBeforeBootArriveAfterTheBootstrap)
 {
     // createWorker returns at once; messages posted while the worker
     // boots (the kernel's init, then a signal) queue on its loop and are
-    // delivered in order once the bootstrap has installed onmessage —
-    // in pooled mode and in the legacy dedicated-thread mode alike.
-    for (bool pooled : {true, false}) {
-        SCOPED_TRACE(pooled ? "pooled" : "dedicated");
-        jsvm::Browser browser(slowBootProfile());
-        auto sched = std::make_shared<kernel::Scheduler>(2);
-        if (pooled)
-            browser.setExecutor(sched);
-        std::atomic<int64_t> booted{0};
-        std::mutex mu;
-        std::vector<std::string> got;
-        bool early = false; // a message ran before the bootstrap
-        const int64_t t0 = jsvm::nowUs();
-        auto w = browser.createWorker(
-            oneByteBlob(browser), [&](jsvm::WorkerScope &scope, auto) {
-                booted = jsvm::nowUs();
-                scope.setOnMessage([&](jsvm::Value v) {
-                    std::lock_guard<std::mutex> lk(mu);
-                    early |= booted == 0;
-                    got.push_back(v.get("t").asString());
-                });
-            });
-        EXPECT_LT(jsvm::nowUs() - t0, kBootUs)
-            << "createWorker must not wait out the construction";
-        for (const char *t : {"init", "signal"}) {
-            jsvm::Value msg = jsvm::Value::object();
-            msg.set("t", jsvm::Value(t));
-            w->postMessage(msg);
-        }
-        ASSERT_TRUE(browser.runUntil(
-            [&]() {
+    // delivered in order once the bootstrap has installed onmessage.
+    jsvm::Browser browser(slowBootProfile());
+    auto sched = std::make_shared<kernel::Scheduler>(2);
+    browser.setExecutor(sched);
+    std::atomic<int64_t> booted{0};
+    std::mutex mu;
+    std::vector<std::string> got;
+    bool early = false; // a message ran before the bootstrap
+    const int64_t t0 = jsvm::nowUs();
+    auto w = browser.createWorker(
+        oneByteBlob(browser), [&](jsvm::WorkerScope &scope, auto) {
+            booted = jsvm::nowUs();
+            scope.setOnMessage([&](jsvm::Value v) {
                 std::lock_guard<std::mutex> lk(mu);
-                return got.size() == 2;
-            },
-            30000));
-        EXPECT_GE(booted - t0, kBootUs);
-        EXPECT_FALSE(early);
-        EXPECT_EQ(got, (std::vector<std::string>{"init", "signal"}));
-        w->terminate();
-        sched->shutdown();
+                early |= booted == 0;
+                got.push_back(v.get("t").asString());
+            });
+        });
+    EXPECT_LT(jsvm::nowUs() - t0, kBootUs)
+        << "createWorker must not wait out the construction";
+    for (const char *t : {"init", "signal"}) {
+        jsvm::Value msg = jsvm::Value::object();
+        msg.set("t", jsvm::Value(t));
+        w->postMessage(msg);
     }
+    ASSERT_TRUE(browser.runUntil(
+        [&]() {
+            std::lock_guard<std::mutex> lk(mu);
+            return got.size() == 2;
+        },
+        30000));
+    EXPECT_GE(booted - t0, kBootUs);
+    EXPECT_FALSE(early);
+    EXPECT_EQ(got, (std::vector<std::string>{"init", "signal"}));
+    w->terminate();
+    sched->shutdown();
 }
 
 TEST(Scheduler, BootDelayElapsesAsVirtualTimeUnderTestClock)
@@ -536,13 +528,11 @@ TEST(Scheduler, BootDelayElapsesAsVirtualTimeUnderTestClock)
     // Under a jsvm::TestClock the boot delay is virtual time, like any
     // cost charge: a frozen clock must not hang the boot, and the first
     // instruction still lands a full delay after creation.
-    for (bool pooled : {true, false}) {
-        SCOPED_TRACE(pooled ? "pooled" : "dedicated");
+    {
         jsvm::TestClock clock;
         jsvm::Browser browser(slowBootProfile());
         auto sched = std::make_shared<kernel::Scheduler>(2);
-        if (pooled)
-            browser.setExecutor(sched);
+        browser.setExecutor(sched);
         std::atomic<int64_t> booted{0};
         const int64_t t0 = jsvm::nowUs();
         auto w = browser.createWorker(

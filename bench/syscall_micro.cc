@@ -11,8 +11,8 @@
  *
  * Measured here: a direct in-process call (the "traditional syscall"
  * stand-in), a bare postMessage round-trip, and per-call cost of the
- * async vs sync vs ring Browsix conventions measured from inside a C
- * program that issues a configurable number of getpid() calls. The ring
+ * async vs sync vs ring Browsix conventions, timed from inside a C
+ * program around a configurable number of getpid() calls. The ring
  * convention is swept over batch sizes 1/8/64: one doorbell message and
  * one Atomics wake per batch is what amortizes the per-call overhead
  * away (cphVB-style batched dispatch applied to the syscall transport).
@@ -27,15 +27,25 @@ using namespace browsix::bench;
 
 namespace {
 
+/** Print the µs since start_us: the loop's own time, which perCallUs
+ * reads back from stdout. */
+void
+printElapsedUs(rt::EmEnv &env, int64_t start_us)
+{
+    env.write(1, std::to_string(jsvm::nowUs() - start_us) + "\n");
+}
+
 /** getpid() in a loop; call count from argv[1]. */
 int
 sysbenchMain(rt::EmEnv &env)
 {
     int n = env.argv().size() > 1 ? std::atoi(env.argv()[1].c_str()) : 0;
+    int64_t start_us = jsvm::nowUs();
     for (int i = 0; i < n; i++) {
         if (env.getpid() <= 0)
             return 1;
     }
+    printElapsedUs(env, start_us);
     return 0;
 }
 
@@ -50,6 +60,7 @@ sysbenchRingMain(rt::EmEnv &env)
     if (!ring)
         return 2;
     std::vector<uint32_t> seqs;
+    int64_t start_us = jsvm::nowUs();
     for (int i = 0; i < n;) {
         int k = std::min(batch, n - i);
         seqs.clear();
@@ -62,6 +73,7 @@ sysbenchRingMain(rt::EmEnv &env)
         }
         i += k;
     }
+    printElapsedUs(env, start_us);
     return 0;
 }
 
@@ -124,27 +136,28 @@ registerSysbench()
 }
 
 /**
- * Per-call microseconds: run with N calls and 0 calls, difference/N. Best
- * of three runs each way at the smoke tier too: one run's process
- * start-up jitter, spread over the smoke tier's 50 calls, swings the
- * per-call figure by tens of µs (even below zero) — past the trajectory
- * gate's 4x on the ring rows.
+ * Per-call microseconds: the program times its own loop of n calls and
+ * prints the elapsed µs, so process start-up and teardown, whose few ms
+ * of jitter would swamp the smoke tier's 50 calls, stay out of the row.
+ * Best of three runs.
  */
 double
 perCallUs(Browsix &bx, const std::string &exe, int n,
           const std::vector<std::string> &extra = {})
 {
-    double with = 1e9, without = 1e9;
-    const int reps = 3;
-    for (int rep = 0; rep < reps; rep++) {
-        std::vector<std::string> argv = {exe, std::to_string(n)};
-        argv.insert(argv.end(), extra.begin(), extra.end());
-        with = std::min(with, timeMs([&]() { bx.runArgv(argv, 120000); }));
-        argv[1] = "0";
-        without =
-            std::min(without, timeMs([&]() { bx.runArgv(argv, 120000); }));
+    std::vector<std::string> argv = {exe, std::to_string(n)};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    double best_us = 1e18;
+    for (int rep = 0; rep < 3; rep++) {
+        RunResult r = bx.runArgv(argv, 120000);
+        if (!r.ok || r.exitCode() != 0 || r.out.empty()) {
+            std::fprintf(stderr, "syscall_micro: %s failed (rc=%d)\n",
+                         exe.c_str(), r.exitCode());
+            std::exit(1);
+        }
+        best_us = std::min(best_us, std::strtod(r.out.c_str(), nullptr));
     }
-    return (with - without) * 1000.0 / n;
+    return best_us / n;
 }
 
 } // namespace

@@ -739,9 +739,8 @@ Kernel::onWorkerMessage(int pid, jsvm::Value msg)
         return;
     }
     if (ty == "ring") {
-        // Doorbell: the process published SQEs and rang once for the
-        // whole batch (the CAS-guarded doorbell word suppresses
-        // duplicates). One doorbell -> one drain pass.
+        // Doorbell: the process published SQEs and won the drainPending
+        // CAS, so this message is the one queued pass.
         stats_.ringDoorbells++;
         drainSyscallRing(pid);
         return;
@@ -771,13 +770,14 @@ Kernel::ringArmForWake(Task &t)
         return; // zero-length window: the producer rings as before
     sys::RingLayout ring(static_cast<uint32_t>(t.ring.off),
                          static_cast<uint32_t>(t.ring.entries));
-    // Armed means a queued pass will read the tail: if one is queued
-    // already, the window the coming notify reopens keeps it polling.
-    if (jsvm::Atomics::load(*t.heap, ring.drainPendingOff()) == 1)
+    // The producer's flush() races this CAS; whoever wins queues the
+    // one pass. A lost CAS means a pass is queued already, and the
+    // window the coming notify reopens keeps it polling.
+    if (jsvm::Atomics::compareExchange(*t.heap, ring.drainPendingOff(), 0,
+                                       1) != 0)
         return;
-    jsvm::Atomics::store(*t.heap, ring.drainPendingOff(), 1);
     t.ring.pollStartUs = jsvm::nowUs(); // this pass is the window's alone
-    scheduleRingDrain(t.pid, 0);
+    scheduleRingDrain(t.pid);
 }
 
 void
@@ -790,19 +790,19 @@ Kernel::ringPollStop(Task &t, int64_t now)
 }
 
 void
-Kernel::scheduleRingDrain(int pid, int idle_grace)
+Kernel::scheduleRingDrain(int pid)
 {
     stats_.ringDrainsScheduled++;
     browser_.mainLoop().post(
-        [this, pid, idle_grace, alive = std::weak_ptr<int>(aliveTag_)]() {
+        [this, pid, alive = std::weak_ptr<int>(aliveTag_)]() {
             if (alive.expired())
                 return; // the kernel is gone; the loop task outlived it
-            drainSyscallRing(pid, idle_grace);
+            drainSyscallRing(pid);
         });
 }
 
 void
-Kernel::drainSyscallRing(int pid, int idle_grace)
+Kernel::drainSyscallRing(int pid)
 {
     Task *t = task(pid);
     if (!t || t->state == TaskState::Zombie || !t->ring.registered ||
@@ -816,15 +816,11 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
     jsvm::RingIndices sq(*heap, ring.sqHeadOff(), ring.sqTailOff(),
                          ring.entries());
 
-    // Arm the coalescing word BEFORE clearing the doorbell: a producer
-    // always observes at least one of the two set, so whether it skips
-    // the message (drainPending armed) or its doorbell CAS fails, this
-    // pass — or the follow-up it schedules — sees its published tail.
-    jsvm::Atomics::store(*heap, ring.drainPendingOff(), 1);
-    jsvm::Atomics::store(*heap, ring.doorbellOff(), 0);
+    // drainPending is armed (whoever queued this pass won its CAS) and
+    // stays armed for the whole pass: a producer publishing meanwhile
+    // loses its CAS and posts nothing, and this pass or the tail re-check
+    // at its end reads what it published.
     t->ring.draining = true;
-    t->ring.deferredNotify = false;
-
     int64_t pass_start_us = jsvm::nowUs();
     size_t consumed = 0;
     while (!sq.empty()) {
@@ -857,16 +853,15 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
             return;
     }
     t->ring.draining = false;
+    int64_t now = jsvm::nowUs();
     if (consumed > 0) {
-        // Batches count consumed work: a doorbell that raced an earlier
-        // drain and found the SQ empty is not a batch. One notify per
-        // batch: wake the waiter for the completions that landed (and
-        // for any SQ slots a backpressure-parked producer is waiting on).
-        int64_t now = jsvm::nowUs();
+        // Batches count consumed work: a pass that found the SQ empty is
+        // not a batch. One notify per batch: wake the waiter for the
+        // completions that landed (and for any SQ slots a
+        // backpressure-parked producer is waiting on).
         stats_.ringBatchesDrained++;
         stats_.ringBatchDepth.record(consumed);
         stats_.ringDrainUs.record(static_cast<uint64_t>(now - pass_start_us));
-        t->ring.idleHintPasses = 0;
         if (t->ring.pollStartUs >= 0) {
             // Only the wake-up window kept this pass queued: without it
             // the pipeline had disarmed and this batch rang a doorbell.
@@ -874,69 +869,44 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
             ringPollStop(*t, now);
         }
         ringNotify(*t);
-        // Adaptive doorbell coalescing: keep drainPending armed and
-        // queue a follow-up pass, so a bursty producer's next batch
-        // skips even the one message per batch. The pipeline winds down
-        // once a pass (plus its grace) finds the SQ empty.
-        scheduleRingDrain(pid, 1);
-        return;
     }
-    if (t->ring.deferredNotify)
-        ringNotify(*t);
-    if (idle_grace > 0) {
-        // Linger armed for one more pass: the producer this pipeline is
-        // serving was woken a moment ago and its next batch is likely
-        // mid-publish — disarming now would cost it a doorbell message.
-        scheduleRingDrain(pid, idle_grace - 1);
-        return;
-    }
-    // More-coming hint: the producer declared a wait-then-submit burst in
-    // flight, so stay armed through the gap where it is reaping the last
-    // completion and publishing the next batch — its whole burst then
-    // rides one doorbell message. The hint is advisory: a liveness cap
-    // bounds how many consecutive empty passes it can buy, so a producer
-    // that died (or forgot to clear it) cannot pin the pipeline.
-    constexpr int kIdleHintCap = 64;
-    if (jsvm::Atomics::load(*heap, ring.moreHintOff()) == 1 &&
-        t->ring.idleHintPasses < kIdleHintCap) {
-        t->ring.idleHintPasses++;
-        // Give the producer (a pool thread) the CPU before the next
-        // pass: on a loaded host the re-posting main loop would
-        // otherwise spin through the whole cap before the producer got
-        // a slice to publish its next batch.
-        std::this_thread::yield();
-        scheduleRingDrain(pid, 0);
-        return;
-    }
-    // Wake-up window: a process this kernel woke a moment ago needs a
-    // pool-thread wake-up plus its handler before it publishes again.
-    // Stay armed (polling) for at most the doorbell message that
-    // disarming would cost it, counted in time and in passes; the window
-    // closes early once the process re-arms its wait word, i.e. parked
-    // again with nothing published.
-    int64_t now = jsvm::nowUs();
+    // The one linger rule, the wake-up window: a process this kernel
+    // woke a moment ago needs a pool-thread wake-up plus its handler
+    // before it publishes again. Stay armed (re-queue this pass) for at
+    // most the doorbell message that disarming would cost it, counted in
+    // time and in passes; the window closes early once the process
+    // re-arms its wait word, i.e. parked again with nothing published.
+    // A 0 read in the pass whose notify just stored 1 is no such park:
+    // it is the producer's own arming store racing that notify, and its
+    // park() returns at once because the CQE is already there.
     if (t->ring.pollPassesLeft > 0 &&
         (now >= t->ring.pollDeadlineUs ||
-         jsvm::Atomics::load(*heap, ring.waitOff()) == 0))
+         (consumed == 0 &&
+          jsvm::Atomics::load(*heap, ring.waitOff()) == 0)))
         t->ring.pollPassesLeft = 0; // ran out, or the process parked
     if (t->ring.pollPassesLeft > 0) {
         t->ring.pollPassesLeft--;
         if (t->ring.pollStartUs < 0)
             t->ring.pollStartUs = now;
         stats_.ringPollPasses++;
-        std::this_thread::yield(); // as above: the producer needs the CPU
-        scheduleRingDrain(pid, 0);
+        // Give the producer (a pool thread) the CPU before the next
+        // pass: on a loaded host the re-posting main loop would
+        // otherwise spin through the window before the producer got a
+        // slice to publish its next batch.
+        std::this_thread::yield();
+        scheduleRingDrain(pid);
         return;
     }
     ringPollStop(*t, now);
-    t->ring.idleHintPasses = 0;
-    // Idle: disarm, then re-check the tail. A producer publishing
-    // between the loop's empty check and this store saw drainPending
-    // armed and skipped its doorbell message — it must not be stranded,
-    // so hand any late tail to a fresh pass (which re-arms).
+    // Disarm, then re-check the tail. A producer publishing between the
+    // loop's empty check and this store lost its CAS and posted nothing,
+    // so it must not be stranded: re-arm with the same CAS its flush()
+    // uses, and whichever side wins queues the one pass.
     jsvm::Atomics::store(*heap, ring.drainPendingOff(), 0);
-    if (!sq.empty())
-        scheduleRingDrain(pid, 0);
+    if (!sq.empty() &&
+        jsvm::Atomics::compareExchange(*heap, ring.drainPendingOff(), 0,
+                                       1) == 0)
+        scheduleRingDrain(pid);
 }
 
 } // namespace kernel

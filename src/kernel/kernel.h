@@ -59,17 +59,18 @@ struct KernelStats
     uint64_t ringBatchesDrained = 0;
     /// Doorbell messages received ("ring" worker messages). Under the
     /// coalesced doorbell this stays below the batch count: producers
-    /// skip the message while a drain pass is scheduled.
+    /// skip the message while a drain pass is queued.
     uint64_t ringDoorbells = 0;
     uint64_t ringNotifies = 0;
     uint64_t ringCqOverflows = 0;
-    /// Adaptive doorbell coalescing: follow-up drain passes the kernel
-    /// scheduled after a productive batch. While one is pending the
-    /// drainPending header word stays armed and producers skip the
-    /// doorbell message entirely (see syscall_ring.h).
+    /// Adaptive doorbell coalescing: drain passes the kernel queued
+    /// itself (inside a wake-up window, or for a tail found at disarm
+    /// time). While one is queued the drainPending header word stays
+    /// armed and producers skip the doorbell message entirely (see
+    /// syscall_ring.h).
     uint64_t ringDrainsScheduled = 0;
-    /// Wake-up window (see Task::RingState): empty drain passes the
-    /// kernel spent polling a just-woken process's SQ, batches such a
+    /// Wake-up window (see Task::RingState): drain passes the window
+    /// kept queued to poll a just-woken process's SQ, batches such a
     /// pass caught (each one a doorbell message the process did not
     /// post), and the wall-clock µs the pipeline stayed armed on the
     /// window's account alone.
@@ -278,31 +279,30 @@ class Kernel
     /**
      * Drain the task's submission ring: consume every published SQE,
      * dispatch it, and issue (at most) one Atomics notify for the whole
-     * batch. Invoked per doorbell message and per scheduled follow-up
-     * pass; a batch submitted under one doorbell is drained in one pump.
-     * idle_grace: how many consecutive empty passes may linger (armed,
-     * rescheduling) before the coalescing pipeline disarms — one pass of
-     * grace bridges the gap between a producer being woken and its next
-     * batch landing in the SQ.
+     * batch. Invoked per doorbell message and per pass the kernel queued
+     * itself; a batch submitted under one doorbell is drained in one
+     * pump. Afterwards the pass re-queues itself while the task's
+     * wake-up window is open, and otherwise disarms drainPending and
+     * re-checks the tail.
      */
-    void drainSyscallRing(int pid, int idle_grace = 1);
+    void drainSyscallRing(int pid);
     /**
-     * Queue a follow-up drain pass for pid on the main loop (adaptive
-     * doorbell coalescing): the ring's drainPending word stays armed
-     * until a pass (and its grace passes) find the SQ empty, so
-     * producers publishing meanwhile skip the doorbell message entirely.
+     * Queue a drain pass for pid on the main loop. The caller holds the
+     * armed drainPending word (adaptive doorbell coalescing): producers
+     * publishing meanwhile skip the doorbell message entirely.
      */
-    void scheduleRingDrain(int pid, int idle_grace);
+    void scheduleRingDrain(int pid);
     /** Wake a ring waiter (wait word := 1 + notify). Used at end-of-batch
      * and for completions that land outside a drain. Opens the task's
      * wake-up window (Task::RingState::pollDeadlineUs). */
     void ringNotify(Task &t);
     /**
-     * Before a wake-up outside any drain pass (a deferred CQE): arm
-     * drainPending and queue one pass unless one is already queued, so
-     * the batch the woken process publishes inside the window skips the
-     * doorbell message. It must precede the notify: a woken process may
-     * publish at once. A no-op when the window is zero-length.
+     * Before a wake-up outside any drain pass (a deferred CQE): CAS
+     * drainPending 0 -> 1 and queue one pass if the CAS wins (else one is
+     * already queued), so the batch the woken process publishes inside
+     * the window skips the doorbell message. It must precede the notify:
+     * a woken process may publish at once. A no-op when the window is
+     * zero-length.
      */
     void ringArmForWake(Task &t);
     int doConnect(Task *client_task, SocketFile &client, int port);

@@ -217,17 +217,15 @@ SyscallCtx::finishRing(int64_t r0, int64_t r1)
     e.r1 = static_cast<int32_t>(r1);
     ring.writeCqe(*t->heap, cq.slot(cq.tail()), e);
     cq.publish();
-    if (t->ring.draining) {
-        t->ring.deferredNotify = true; // coalesced: one notify per batch
-    } else {
-        // A CQE landing outside a drain pass is a deferred completion:
-        // the SQE parked (empty pipe, no pending connection, nothing
-        // pollable) and this event-driven push is what un-parks the
-        // producer. It pays its own notify.
-        kernel_.stats_.ringDeferredCompletions++;
-        kernel_.ringArmForWake(*t);
-        kernel_.ringNotify(*t);
-    }
+    if (t->ring.draining)
+        return; // coalesced: the pass ends with one notify per batch
+    // A CQE landing outside a drain pass is a deferred completion: the
+    // SQE parked (empty pipe, no pending connection, nothing pollable)
+    // and this event-driven push is what un-parks the producer. It pays
+    // its own notify.
+    kernel_.stats_.ringDeferredCompletions++;
+    kernel_.ringArmForWake(*t);
+    kernel_.ringNotify(*t);
 }
 
 void

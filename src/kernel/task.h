@@ -51,9 +51,9 @@ struct Task
     int32_t sigOff = -1;
 
     /// Ring personality: the io_uring-style SQ/CQ region inside `heap`
-    /// (see runtime/syscall_ring.h). `draining` and `deferredNotify` are
-    /// kernel-side batch state: completions that land while the kernel is
-    /// draining this task's SQ coalesce into one end-of-batch notify.
+    /// (see runtime/syscall_ring.h). `draining` is kernel-side batch
+    /// state: completions that land while the kernel is draining this
+    /// task's SQ coalesce into the pass's one end-of-batch notify.
     ///
     /// Parked (deferred-CQE) SQEs have no representation here: the
     /// in-flight call IS its SyscallCtx, held alive by whatever waiter
@@ -67,17 +67,13 @@ struct Task
         int32_t off = -1;
         int32_t entries = 0;
         bool draining = false;
-        bool deferredNotify = false;
-        /// Consecutive empty drain passes kept alive only by the
-        /// producer's more-coming hint; capped so a producer that dies
-        /// (or lies) mid-burst cannot pin the drain pipeline forever.
-        int idleHintPasses = 0;
-        /// Wake-up window: every ringNotify lets empty drain passes stay
-        /// armed until pollDeadlineUs, and for at most pollPassesLeft of
-        /// them (Kernel::kRingPollPassesPerUs per µs of window, so a
-        /// frozen virtual clock still closes it), so the woken process's
-        /// next batch rides a queued pass instead of a doorbell message.
-        /// Zero-length under a profile whose postMessage is free.
+        /// Wake-up window: every ringNotify lets drain passes re-queue
+        /// themselves armed until pollDeadlineUs, and for at most
+        /// pollPassesLeft of them (Kernel::kRingPollPassesPerUs per µs of
+        /// window, so a frozen virtual clock still closes it), so the
+        /// woken process's next batch rides a queued pass instead of a
+        /// doorbell message. Zero-length under a profile whose
+        /// postMessage is free: every pass then disarms at once.
         int64_t pollDeadlineUs = 0;
         int64_t pollPassesLeft = 0;
         /// When the pipeline started polling on the window's account

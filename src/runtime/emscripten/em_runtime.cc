@@ -44,7 +44,7 @@ EmEnv::EmEnv(std::shared_ptr<SyscallClient> client, EmMode mode,
 int64_t
 EmEnv::heapCall(int trap, std::array<int32_t, 6> args, int32_t *r1_out)
 {
-    if (ring_ && RingSyscalls::ringEligible(trap))
+    if (ring_)
         return ring_->call(trap, args, r1_out);
     return sync_->call(trap, args, r1_out);
 }
@@ -66,6 +66,11 @@ EmEnv::queueSignal(int sig)
 void
 EmEnv::pollSignals()
 {
+    // A ring wait can return without ever blocking (its CQE was already
+    // in the CQ), so nothing has moved a signal the kernel parked in the
+    // heap's signal slot: read it here, at every syscall boundary.
+    if (sync_)
+        sync_->pollSignal();
     std::vector<int> sigs;
     {
         std::lock_guard<std::mutex> lk(sigMutex_);
@@ -195,11 +200,6 @@ EmEnv::writev(int fd, const std::vector<std::string> &parts)
     // holds the ring region), so arbitrarily long fragment lists — a
     // whole `ls -lR` listing — gather safely.
     const size_t kScratchBudget = 256 * 1024;
-    // Multi-chunk gathers are wait-then-submit bursts (one writev per
-    // chunk): the hint keeps the kernel's drain pipeline armed between
-    // chunks so only the first pays a doorbell message. Guard-scoped:
-    // a short write or error return mid-gather must still clear it.
-    HintScope hint(ring_.get());
     int64_t total = 0;
     size_t i = 0;
     while (i < parts.size()) {
@@ -245,17 +245,10 @@ EmEnv::writev(int fd, const std::vector<std::string> &parts)
             chunk_len += static_cast<int64_t>(p.size());
             i++;
         }
-        int64_t r;
-        if (ring_ && RingSyscalls::ringEligible(sys::WRITEV)) {
-            uint32_t seq = ring_->submitv(sys::WRITEV, fd, iovs);
-            ring_->flush();
-            r = ring_->wait(seq).r0;
-        } else {
-            uint32_t arr = sync_->pushIovArray(iovs);
-            r = sync_->call(sys::WRITEV,
-                            {fd, static_cast<int32_t>(arr),
-                             static_cast<int32_t>(iovs.size()), 0, 0, 0});
-        }
+        uint32_t arr = sync_->pushIovArray(iovs);
+        int64_t r = heapCall(sys::WRITEV,
+                             {fd, static_cast<int32_t>(arr),
+                              static_cast<int32_t>(iovs.size()), 0, 0, 0});
         if (r < 0) {
             pollSignals();
             return total > 0 ? total : r; // POSIX short-count semantics
@@ -375,10 +368,6 @@ EmEnv::statBatch(const std::vector<std::string> &paths, bool follow)
     // capacity and by a scratch-byte budget (the 1 MiB heap also holds
     // the ring region itself).
     const size_t kScratchBudget = 256 * 1024;
-    // A multi-chunk batch is a wait-then-submit burst: declare it, so the
-    // kernel's drain pipeline stays armed across the reap gap between
-    // chunks and every chunk after the first skips its doorbell message.
-    HintScope hint(ring_.get());
     size_t i = 0;
     while (i < paths.size()) {
         sync_->resetScratch();

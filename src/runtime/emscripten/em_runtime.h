@@ -11,9 +11,9 @@
  *    thread blocked in Atomics.wait. Fast, but fork is unavailable.
  *
  *  - Ring: like Sync, plus an io_uring-style SQ/CQ pair in the shared
- *    heap. Ring-eligible calls are batched (one doorbell message and one
- *    wake per batch); calls that may park indefinitely fall back to the
- *    sync convention per call. Programs reach the batch API via ring().
+ *    heap. Every shared-heap call rides the ring (one doorbell message
+ *    and one wake per batch; a call that would block parks kernel-side
+ *    until its CQE lands). Programs reach the batch API via ring().
  *
  *  - AsyncEmterpreter: system calls are asynchronous; the "Emterpreter"
  *    (our app thread + the emvm bytecode VM for compute kernels) can
@@ -81,12 +81,12 @@ class EmEnv
      * emits its whole listing through one of these): fragments are
      * marshalled into the shared heap and each writev syscall covers a
      * whole chunk of them, capped by the iovec limit and a scratch-byte
-     * budget. In Ring mode each chunk is a single SQE (one ring entry,
-     * one CQE) via RingSyscalls::submitv instead of one ring round-trip
-     * per fragment; Sync mode issues one call per chunk; the async
-     * convention (no shared heap for the iovec array to point into)
-     * falls back to concatenating into a single write. Returns the
-     * total bytes written (short-count on a partial chunk).
+     * budget. Each chunk is one writev call over a packed iovec array
+     * (in Ring mode one SQE and one CQE) instead of one call per
+     * fragment; the async convention (no shared heap for the iovec
+     * array to point into) falls back to concatenating into a single
+     * write. Returns the total bytes written (short-count on a partial
+     * chunk).
      */
     int64_t writev(int fd, const std::vector<std::string> &parts);
     int64_t pread(int fd, bfs::Buffer &out, size_t n, int64_t off);
@@ -141,7 +141,7 @@ class EmEnv
     int bind(int fd, int port);
     int listen(int fd, int backlog);
     /**
-     * Accept one connection; blocks until a peer connects. Ring-eligible:
+     * Accept one connection; blocks until a peer connects. In Ring mode,
      * with no pending connection the SQE parks kernel-side and the CQE
      * arrives with the connection (the deferral protocol). Returns the
      * connected fd; *remote_port (if non-null) gets the peer's port.
@@ -216,7 +216,9 @@ class EmEnv
     int64_t runInterpreted(const emvm::Image &image, const std::string &fn,
                            std::vector<int64_t> args);
 
-    /** Drain queued async-delivered signals; called at syscall bounds. */
+    /** Run the handlers of pending signals, whether the kernel left them
+     * in the shared heap's signal slot or sent a signal message; called
+     * at syscall boundaries. */
     void pollSignals();
 
     /** Enqueue a kernel-delivered signal (runs on the worker loop). */
@@ -236,7 +238,7 @@ class EmEnv
     {
         return mode_ != EmMode::AsyncEmterpreter;
     }
-    /** Shared-heap call, routed through the ring when eligible. */
+    /** Shared-heap call: through the ring in Ring mode, else sync. */
     int64_t heapCall(int trap, std::array<int32_t, 6> args,
                      int32_t *r1_out = nullptr);
     CallResult invoke(int trap, jsvm::Value::Array async_args,

@@ -268,88 +268,6 @@ RingSyscalls::RingSyscalls(SyncSyscalls &sync, uint32_t entries)
         jsvm::panic("RingSyscalls: ring registration failed");
 }
 
-bool
-RingSyscalls::ringEligible(int trap)
-{
-    switch (trap) {
-      // Metadata, descriptors, and I/O whose completion needs no input
-      // the caller itself must provide. The kernel never parks — a CQE
-      // may simply land late (WRITE defers under pipe backpressure until
-      // a reader drains, exactly where the sync convention would block);
-      // a late CQE only ties up one in-flight slot meanwhile.
-      case sys::GETPID:
-      case sys::GETPPID:
-      case sys::GETTIMEOFDAY:
-      case sys::GETCWD:
-      case sys::CHDIR:
-      case sys::OPEN:
-      case sys::CLOSE:
-      case sys::LLSEEK:
-      case sys::STAT:
-      case sys::LSTAT:
-      case sys::FSTAT:
-      case sys::ACCESS:
-      case sys::UNLINK:
-      case sys::MKDIR:
-      case sys::RMDIR:
-      case sys::RENAME:
-      case sys::READLINK:
-      case sys::SYMLINK:
-      case sys::UTIMES:
-      case sys::GETDENTS:
-      case sys::GETDENTS64:
-      case sys::DUP:
-      case sys::DUP2:
-      case sys::IOCTL:
-      case sys::PREAD:
-      case sys::PWRITE:
-      case sys::WRITE:
-      // Vectored I/O batches like its scalar counterparts.
-      case sys::WRITEV:
-      case sys::PREADV:
-      case sys::PWRITEV:
-      // Blocking traps ride the completion-deferral protocol: when the
-      // drained SQE would block (read/readv on an empty pipe, accept
-      // with no pending connection, poll with nothing ready) the kernel
-      // parks the completion against the pipe/socket waiter list and
-      // pushes the CQE — with its own notify — when the event arrives.
-      // The parked SQE keeps its CQ reservation (in-flight slot), so
-      // the late CQE always has room; submitting a blocking trap and
-      // then more work behind it is fine, because the kernel drains and
-      // dispatches the rest of the batch without waiting on it.
-      case sys::READ:
-      case sys::READV:
-      case sys::ACCEPT:
-      case sys::POLL:
-      // The process table (wait-waiter list), the socket rendezvous
-      // (connect waiters on a full backlog), and the epoll interest
-      // list give the same park-and-complete shape to process and
-      // readiness waits; sendfile is all-integer arguments and at most
-      // blocks in its kernel-side writeFrom, which parks like WRITE.
-      case sys::WAIT4:
-      case sys::CONNECT:
-      case sys::EPOLL_CREATE:
-      case sys::EPOLL_CTL:
-      case sys::EPOLL_WAIT:
-      case sys::SENDFILE:
-      // The rest of the socket-lifecycle family is integer-in/
-      // integer-out and completes immediately (bind/listen mutate
-      // kernel-side state, getsockname/shutdown read or flag it) — a
-      // ring-native server's whole setup and teardown batches.
-      case sys::SOCKET:
-      case sys::BIND:
-      case sys::LISTEN:
-      case sys::GETSOCKNAME:
-      case sys::SHUTDOWN:
-        return true;
-      default:
-        // Only fork still completes through a per-call convention: its
-        // reply carries a structured-clone state snapshot that cannot
-        // ride a 16-byte CQE.
-        return false;
-    }
-}
-
 void
 RingSyscalls::reap()
 {
@@ -423,41 +341,25 @@ RingSyscalls::submitv(int trap, int32_t fd,
 void
 RingSyscalls::flush()
 {
-    // Idempotent per batch: once every local submission is covered by a
-    // doorbell, later flush() calls (wait() flushes defensively) are
-    // no-ops — probing the shared SQ indices here could double-ring for
-    // a batch the kernel is mid-drain on.
+    // Idempotent per batch: once every local submission is covered, later
+    // flush() calls (wait() flushes defensively) are no-ops.
     if (unflushed_ == 0)
         return;
     unflushed_ = 0;
-    jsvm::SharedArrayBuffer &heap = sync_.heap();
-    // Adaptive coalescing: while the kernel has a drain pass scheduled
-    // (drainPending armed), the published tail will be observed without
-    // any message at all — the kernel only disarms after an empty pass
-    // re-checks the tail, so a submission that saw the word armed can
-    // never be stranded.
-    if (jsvm::Atomics::load(heap, layout_.drainPendingOff()) == 1) {
+    // The one doorbell flag: whoever moves drainPending 0 -> 1 queues the
+    // pass. Losing the CAS means one is queued already, and the kernel
+    // only disarms after re-checking the tail, so the published SQEs are
+    // never stranded.
+    if (jsvm::Atomics::compareExchange(sync_.heap(),
+                                       layout_.drainPendingOff(), 0,
+                                       1) != 0) {
         coalesced_++;
         return;
     }
-    // Only the 0 -> 1 transition posts a message. A CAS failure means a
-    // doorbell is already in flight, and the kernel clears the flag
-    // before reading the tail — so it will see everything published up
-    // to this point either way.
-    if (jsvm::Atomics::compareExchange(heap, layout_.doorbellOff(), 0, 1) ==
-        0) {
-        doorbells_++;
-        jsvm::Value msg = jsvm::Value::object();
-        msg.set("t", jsvm::Value("ring"));
-        sync_.client().scope().postMessage(msg);
-    }
-}
-
-void
-RingSyscalls::hintMore(bool more)
-{
-    jsvm::Atomics::store(sync_.heap(), layout_.moreHintOff(),
-                         more ? 1 : 0);
+    doorbells_++;
+    jsvm::Value msg = jsvm::Value::object();
+    msg.set("t", jsvm::Value("ring"));
+    sync_.client().scope().postMessage(msg);
 }
 
 RingSyscalls::Completion
@@ -479,8 +381,6 @@ RingSyscalls::wait(uint32_t seq)
 int64_t
 RingSyscalls::call(int trap, std::array<int32_t, 6> args, int32_t *r1_out)
 {
-    if (!ringEligible(trap))
-        return sync_.call(trap, args, r1_out);
     uint32_t seq = submit(trap, args);
     Completion c = wait(seq);
     if (r1_out)

@@ -137,7 +137,7 @@ class SyncSyscalls
     uint32_t pushString(const std::string &s);
     /** Marshal a packed iovec array (sys::IoVec x iovs.size()) into
      * scratch; returns its heap offset. Shared by RingSyscalls::submitv
-     * and EmEnv::writev's sync fallback. */
+     * and EmEnv::writev. */
     uint32_t pushIovArray(const std::vector<sys::IoVec> &iovs);
     uint32_t alloc(size_t n);
     void resetScratch() { scratchTop_ = scratchBase_; }
@@ -175,13 +175,11 @@ class SyncSyscalls
  *   ring.flush();       // one doorbell message for the whole batch
  *   auto r = ring.wait(s0);
  *
- * or per call via call(), which transparently falls back to the sync
- * convention for the one trap still outside the deferral protocol
- * (fork — its reply carries a state snapshot no 16-byte CQE can hold).
- * Blocking ring-eligible traps (read, readv, accept, poll, epoll_wait,
- * wait4, connect, sendfile) park kernel-side and their CQE lands
- * whenever the event arrives; a parked or late completion just occupies
- * its in-flight slot (and CQ reservation) until it does.
+ * or per call via call(). Every heap-encoded trap rides the ring.
+ * Blocking traps (read, readv, accept, poll, epoll_wait, wait4,
+ * connect, sendfile) park kernel-side and their CQE lands whenever the
+ * event arrives; a parked or late completion just occupies its
+ * in-flight slot (and CQ reservation) until it does.
  *
  * Single-threaded like the rest of the runtime facades: all methods must
  * run on the process's app thread.
@@ -201,17 +199,7 @@ class RingSyscalls
         int32_t r1 = 0;
     };
 
-    /** True when trap is safe to batch: its completion either never
-     * depends on a further action by the submitting thread, or defers
-     * through a kernel-side waiter list (read/readv/accept/poll,
-     * epoll_wait, wait4, connect, sendfile) so another process's action
-     * can land the CQE. */
-    static bool ringEligible(int trap);
-
-    /**
-     * One call through the ring (submit + flush + wait), or through the
-     * sync fallback when the trap is not ring-eligible.
-     */
+    /** One call through the ring: submit + flush + wait. */
     int64_t call(int trap, std::array<int32_t, 6> args,
                  int32_t *r1_out = nullptr);
 
@@ -234,12 +222,11 @@ class RingSyscalls
                      const std::vector<sys::IoVec> &iovs, int64_t off = 0);
 
     /**
-     * Ring the doorbell if submissions are pending and no doorbell is
-     * already in flight. Adaptive coalescing: when the kernel has a
-     * drain pass scheduled (the drainPending header word), even the
-     * doorbell message is skipped — the scheduled drain will see the
-     * published tail — cutting bursty producers below one message per
-     * batch.
+     * Make pending submissions visible to the kernel: CAS the
+     * drainPending header word 0 -> 1 and post the doorbell message only
+     * when that CAS wins. A lost CAS means a drain pass is already
+     * queued (a doorbell in flight, or a pass the kernel queued itself)
+     * and it will read the published tail, so no message is sent.
      */
     void flush();
 
@@ -247,23 +234,12 @@ class RingSyscalls
      * jsvm::WorkerTerminated if the worker is killed meanwhile. */
     Completion wait(uint32_t seq);
 
-    /**
-     * Advisory "more SQEs coming shortly" hint for wait-then-submit
-     * bursts (a loop of submit → wait → submit ...). While set, the
-     * kernel's drain pipeline stays armed across the gaps where this
-     * producer is between completions, so the burst's later batches skip
-     * the doorbell message entirely. Set it before the loop, clear it
-     * after; forgetting to clear costs the kernel a bounded number of
-     * empty drain passes (it caps consecutive idle-with-hint passes).
-     */
-    void hintMore(bool more);
-
     uint32_t capacity() const { return layout_.entries(); }
     /** Submitted but not yet reaped. */
     uint32_t inflight() const { return inflight_; }
     uint64_t doorbellsRung() const { return doorbells_; }
-    /** Batches whose doorbell message was skipped because the kernel
-     * already had a drain scheduled (adaptive coalescing). */
+    /** Flushes that posted no doorbell message because a drain pass was
+     * already queued (their drainPending CAS lost). */
     uint64_t doorbellsCoalesced() const { return coalesced_; }
 
   private:
@@ -282,32 +258,6 @@ class RingSyscalls
     uint64_t doorbells_ = 0;
     uint64_t coalesced_ = 0;
     std::map<uint32_t, Completion> done_;
-};
-
-/**
- * RAII for RingSyscalls::hintMore: declares a wait-then-submit burst for
- * its scope and clears the hint on every exit path (early returns, short
- * writes, exceptions). A null ring makes it a no-op, so callers with an
- * optional ring need no branch.
- */
-class HintScope
-{
-  public:
-    explicit HintScope(RingSyscalls *ring) : ring_(ring)
-    {
-        if (ring_)
-            ring_->hintMore(true);
-    }
-    ~HintScope()
-    {
-        if (ring_)
-            ring_->hintMore(false);
-    }
-    HintScope(const HintScope &) = delete;
-    HintScope &operator=(const HintScope &) = delete;
-
-  private:
-    RingSyscalls *ring_;
 };
 
 } // namespace rt

@@ -21,22 +21,20 @@
  *   +8   cqHead    CQ consumer index (process-owned)
  *   +12  cqTail    CQ producer index (kernel-owned)
  *   +16  wait word the process parks here; the kernel stores 1 + notifies
- *   +20  doorbell  1 while a doorbell message is in flight (CAS-guarded so
- *                  a burst of submissions posts one message, not many)
- *   +24  drainPending  1 while the kernel has a drain pass scheduled
- *                  (adaptive doorbell coalescing): producers that see it
- *                  skip the doorbell message entirely — the scheduled
- *                  drain will observe their published tail. Kernel-owned:
- *                  armed before a drain starts, and only disarmed after a
- *                  pass that found the SQ empty re-checks the tail (so a
- *                  producer that skipped the message is never stranded).
- *   +28  moreHint  1 while the producer is mid-burst ("more SQEs coming
- *                  shortly"): the kernel's drain pipeline stays armed
- *                  through empty passes instead of disarming, so the rest
- *                  of the burst rides the already-scheduled drains and
- *                  pays zero doorbell messages. Process-owned; advisory —
- *                  the kernel caps consecutive idle-with-hint passes so a
- *                  producer that dies mid-burst cannot pin the pipeline.
+ *   +20  reserved (0)
+ *   +24  drainPending  1 while a drain pass is queued: a doorbell message
+ *                  in flight, or a pass the kernel queued itself. The one
+ *                  doorbell flag. Set to 1 only by a 0 -> 1 CAS, and
+ *                  whoever wins it queues the pass: the producer's
+ *                  flush() (which then posts the doorbell message), or
+ *                  the kernel re-arming for a wake-up or for a tail found
+ *                  at disarm time. A producer whose CAS fails posts
+ *                  nothing: the queued pass will read its published tail.
+ *                  Only the kernel stores 0, after a pass outside the
+ *                  wake-up window, and it re-checks the tail right after,
+ *                  so a producer that skipped the message is never
+ *                  stranded.
+ *   +28  reserved (0)
  *   +32  SQ entries: entries × 32 B, each 8 × i32:
  *          [trap, seq, arg0..arg5]
  *   +32 + entries*32  CQ entries: entries × 16 B, each 4 × i32:
@@ -128,9 +126,7 @@ class RingLayout
     size_t cqHeadOff() const { return base_ + 8; }
     size_t cqTailOff() const { return base_ + 12; }
     size_t waitOff() const { return base_ + 16; }
-    size_t doorbellOff() const { return base_ + 20; }
     size_t drainPendingOff() const { return base_ + 24; }
-    size_t moreHintOff() const { return base_ + 28; }
 
     size_t sqeOff(uint32_t slot) const
     {

@@ -170,6 +170,24 @@ posixTestMain(rt::EmEnv &env)
     t.check(env.nowMs() > 0, "gettimeofday");
     t.check(env.ioctlIsatty(1) == 0, "stdout isatty (callback sink)");
 
+    // --- pipe2 round trip ---
+    int pfds[2] = {-1, -1};
+    t.check(env.pipe2(pfds) == 0 && pfds[0] >= 0 && pfds[1] >= 0,
+            "pipe2");
+    t.check(env.write(pfds[1], std::string("ping")) == 4, "pipe write");
+    t.check(env.read(pfds[0], buf, 16) == 4 &&
+                std::string(buf.begin(), buf.end()) == "ping",
+            "pipe read");
+    env.close(pfds[0]);
+    env.close(pfds[1]);
+
+    // --- a signal sent to self is handled by the time kill returns ---
+    bool got_usr1 = false;
+    env.signal(sys::SIGUSR1, [&got_usr1](int) { got_usr1 = true; });
+    t.check(env.kill(env.getpid(), sys::SIGUSR1) == 0, "kill self");
+    t.check(got_usr1, "SIGUSR1 handler ran before kill returned");
+    env.signal(sys::SIGUSR1, nullptr);
+
     // --- error paths ---
     t.check(env.open("/no/such/file", RDONLY) == -ENOENT, "ENOENT open");
     bfs::Buffer scratch;
@@ -209,10 +227,16 @@ TEST_P(EmEnvPosix, FullSurface)
     bx.rootFs().writeFile(
         "/usr/bin/" + prog,
         apps::ProgramRegistry::instance().bundleFor(prog));
+    uint64_t sync_before = bx.kernel().stats().syncSyscallCount;
     auto r = bx.runArgv({"/usr/bin/" + prog}, 60000);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.out, "") << "in-process assertion failures:\n" << r.out;
     EXPECT_EQ(r.exitCode(), 0) << prog << " reported failures";
+    if (prog == "posixtest-ring") {
+        // Every shared-heap call of a ring process rides the ring.
+        EXPECT_EQ(bx.kernel().stats().syncSyscallCount, sync_before)
+            << "a ring process made sync-convention calls";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Conventions, EmEnvPosix,

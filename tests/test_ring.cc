@@ -73,8 +73,9 @@ connectAndClose(Browsix &bx, int port)
 
 /**
  * The wake-up window is as long as one postMessage of the booted
- * profile, so every test above (booted fast()) runs with it closed.
- * These boot a profile whose only cost is a kWindowUs postMessage.
+ * profile, so a test booted fast() runs with it closed. The tests that
+ * need it open boot a profile whose only cost is a kWindowUs
+ * postMessage.
  */
 constexpr int64_t kWindowUs = 20000;
 
@@ -170,8 +171,8 @@ TEST(RingSyscalls, SingleCallsRouteThroughRing)
     EXPECT_GT(bx.kernel().stats().ringSyscallCount, 0u)
         << "Ring-mode getpid/open/... should use the ring";
     EXPECT_EQ(bx.kernel().stats().syncSyscallCount, 0u)
-        << "every call in this program is ring-eligible now — read "
-           "included, via the completion-deferral protocol";
+        << "every shared-heap call of a ring process rides the ring — "
+           "read included, via the completion-deferral protocol";
 }
 
 TEST(RingSyscalls, SqFullBackpressureCompletesEveryCall)
@@ -609,13 +610,15 @@ TEST(RingSyscalls, HostileIovsCompleteWithEfault)
 
 TEST(RingSyscalls, CoalescedDoorbellSkipsMessagesAcrossBursts)
 {
-    // Adaptive doorbell coalescing, deterministically under TestClock:
-    // a producer that keeps the SQ warm (pipelined bursts of 8) pays at
-    // most a handful of doorbell messages for the whole run — while a
-    // kernel drain pass is scheduled, flush() skips the message and the
-    // scheduled pass picks up the published tail. Every burst still
-    // completes, and notifies stay coalesced (≈ one per productive
-    // drain, far below one per call).
+    // Adaptive doorbell coalescing, under TestClock: a producer that
+    // keeps the SQ warm (pipelined bursts of 8) pays at most a handful
+    // of doorbell messages for the whole run — while a kernel drain pass
+    // is queued, flush() loses its drainPending CAS, posts nothing, and
+    // the queued pass picks up the published tail. The wake-up window
+    // keeps that pass queued after each productive one, so this boots a
+    // profile with a window. Every burst still completes, and notifies
+    // stay coalesced (≈ one per productive drain, far below one per
+    // call).
     jsvm::TestClock clock;
     constexpr int kBatch = 8;
     constexpr int kMaxBursts = 512; // safety valve, typically a handful
@@ -647,13 +650,14 @@ TEST(RingSyscalls, CoalescedDoorbellSkipsMessagesAcrossBursts)
         }
         if (ring->doorbellsCoalesced() == 0)
             return 4; // never once skipped a message: coalescing broken
-        // Far fewer messages than bursts: a flush is either a message,
-        // a drainPending skip, or covered by a still-in-flight doorbell.
+        // Far fewer messages than bursts: a flush either wins the
+        // drainPending CAS and posts the one message, or loses it to a
+        // queued pass (or a still-in-flight doorbell) and posts none.
         if (ring->doorbellsRung() >= static_cast<uint64_t>(bursts))
             return 5;
         return 0;
     });
-    Browsix bx;
+    Browsix bx(windowConfig());
     stage(bx, "ring-coalesce");
     auto before = bx.kernel().stats();
     auto r = bx.runArgv({"/usr/bin/ring-coalesce"});
@@ -664,7 +668,7 @@ TEST(RingSyscalls, CoalescedDoorbellSkipsMessagesAcrossBursts)
     uint64_t notifies = after.ringNotifies - before.ringNotifies;
     uint64_t bursts = calls / kBatch;
     EXPECT_GT(after.ringDrainsScheduled, before.ringDrainsScheduled)
-        << "productive drains must keep the coalescing pipeline armed";
+        << "the window must keep the coalescing pipeline armed";
     // One notify per coalesced burst: every productive drain issues one
     // notify for its whole batch (split drains can add a few), far
     // below one per call.
@@ -673,50 +677,76 @@ TEST(RingSyscalls, CoalescedDoorbellSkipsMessagesAcrossBursts)
     EXPECT_LT(notifies, calls / 2);
 }
 
-TEST(RingSyscalls, MoreComingHintDropsDoorbellsForWaitThenSubmitBursts)
+TEST(RingSyscalls, DoorbellInFlightAbsorbsLaterFlushes)
 {
-    // The producer-side "more coming" hint: a strict wait-then-submit
-    // loop (submit one, flush, wait — the worst case for coalescing,
-    // since the SQ is empty whenever the producer is parked) declares
-    // the burst via hintMore(true). The kernel's drain pipeline then
-    // stays armed through the gaps where the producer is reaping, so
-    // every flush after the first finds drainPending set and skips its
-    // doorbell message. Without the hint each round would re-ring once
-    // the pipeline's one-pass grace expired.
-    jsvm::TestClock clock;
-    constexpr int kRounds = 32;
-    addProgram("ring-morehint", [](rt::EmEnv &env) -> int {
+    // The one doorbell flag: the first flush() wins the drainPending CAS
+    // and posts the message; a second submit + flush() before the
+    // producer parks finds the word still armed (by that doorbell, or by
+    // the window its pass opened) and posts nothing. The reserved header
+    // words +20 and +28 stay 0 throughout.
+    auto go = std::make_shared<std::atomic<bool>>(false);
+    addProgram("ring-inflight", [go](rt::EmEnv &env) -> int {
         rt::RingSyscalls *ring = env.ring();
         if (!ring)
             return 1;
-        rt::HintScope hint(ring);
-        for (int i = 0; i < kRounds; i++) {
-            uint32_t seq = ring->submit(sys::GETPID, {});
-            ring->flush();
-            if (ring->wait(seq).r0 != env.pid())
-                return 2;
-        }
-        // The message-count drop is the whole point: one doorbell buys
-        // the entire burst (a small allowance for a pipeline wind-down
-        // losing a race with the next round's flush).
-        if (ring->doorbellsRung() > 3)
+        uint32_t a = ring->submit(sys::GETPID, {});
+        ring->flush();
+        uint32_t b = ring->submit(sys::GETPID, {});
+        ring->flush();
+        if (ring->wait(a).r0 != env.pid() || ring->wait(b).r0 != env.pid())
+            return 2;
+        if (ring->doorbellsRung() != 1)
             return 3;
-        if (ring->doorbellsCoalesced() < kRounds - 4)
+        if (ring->doorbellsCoalesced() != 1)
             return 4;
+        env.write(1, std::string("done\n"));
+        while (!go->load())
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
         return 0;
     });
+    Browsix bx(windowConfig());
+    stage(bx, "ring-inflight");
+    auto p = launch(bx, "ring-inflight");
+    ASSERT_TRUE(bx.runUntil([&]() { return p->out == "done\n" || p->exited; },
+                            10000));
+    kernel::Task *t = bx.kernel().task(p->pid);
+    ASSERT_NE(t, nullptr);
+    ASSERT_TRUE(t->ring.registered);
+    const size_t base = static_cast<size_t>(t->ring.off);
+    EXPECT_EQ(jsvm::Atomics::load(*t->heap, base + 20), 0);
+    EXPECT_EQ(jsvm::Atomics::load(*t->heap, base + 28), 0);
+    go->store(true);
+    ASSERT_TRUE(bx.runUntil([&]() { return p->exited; }, 10000));
+    EXPECT_EQ(sys::wexitstatus(p->status), 0) << p->out;
+}
+
+TEST(RingSyscalls, SignalRunsWhenTheKillCqeWasAlreadyReaped)
+{
+    // A signal for a ring process lands in the heap's signal slot. When
+    // the KILL SQE's CQE already sits in the CQ by the time the process
+    // waits, wait() returns without ever blocking, so no wake-up moved
+    // the signal out of the slot: the next syscall boundary
+    // (pollSignals) must.
+    addProgram("ring-selfkill", [](rt::EmEnv &env) -> int {
+        rt::RingSyscalls *ring = env.ring();
+        if (!ring)
+            return 1;
+        bool handled = false;
+        env.signal(sys::SIGUSR1, [&handled](int) { handled = true; });
+        uint32_t seq =
+            ring->submit(sys::KILL, {env.pid(), sys::SIGUSR1, 0, 0, 0, 0});
+        ring->flush();
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        if (ring->wait(seq).r0 != 0)
+            return 2;
+        env.pollSignals();
+        return handled ? 0 : 3;
+    });
     Browsix bx;
-    stage(bx, "ring-morehint");
-    auto before = bx.kernel().stats();
-    auto r = bx.runArgv({"/usr/bin/ring-morehint"});
+    stage(bx, "ring-selfkill");
+    auto r = bx.runArgv({"/usr/bin/ring-selfkill"});
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.exitCode(), 0);
-    auto after = bx.kernel().stats();
-    EXPECT_EQ(after.ringSyscallCount - before.ringSyscallCount,
-              static_cast<uint64_t>(kRounds))
-        << "every round must still complete through the ring";
-    EXPECT_LE(after.ringDoorbells - before.ringDoorbells, 3u)
-        << "the hint must absorb the per-round doorbell messages";
+    EXPECT_EQ(r.exitCode(), 0) << "the handler missed the syscall boundary";
 }
 
 TEST(RingSyscalls, BatchedStatSweepCoalescesNotifies)
@@ -1585,9 +1615,10 @@ TEST(RingSyscalls, WakeWindowCarriesTheBatchAfterADeferredCqe)
 
 TEST(RingSyscalls, SerialSubmitWaitLoopRidesTheWakeWindow)
 {
-    // submit one, wait for it, submit the next: without the more-coming
-    // hint, every round used to find the pipeline disarmed and ring. The
-    // window keeps it armed while the woken producer turns around.
+    // submit one, wait for it, submit the next: the SQ is empty whenever
+    // the producer is parked, so without the window every round would
+    // find the pipeline disarmed and ring. The window keeps it armed
+    // while the woken producer turns around.
     constexpr int kRounds = 32;
     addProgram("window-serial", [](rt::EmEnv &env) -> int {
         rt::RingSyscalls *ring = env.ring();
@@ -1611,8 +1642,7 @@ TEST(RingSyscalls, SerialSubmitWaitLoopRidesTheWakeWindow)
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.exitCode(), 0);
     auto after = bx.kernel().stats();
-    // Rounds whose producer turned around within the grace pass ride
-    // without the window; the rest are its catches.
+    // Every round after the first rides a pass only the window queued.
     EXPECT_GE(after.ringPollCatches - before.ringPollCatches, 1u);
     EXPECT_GT(after.ringPollUs, before.ringPollUs);
 }

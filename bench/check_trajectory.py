@@ -85,6 +85,12 @@ RATIO_CEILINGS = {
     # fails any change that stops superinstructions from swallowing the
     # hot dispatch pairs.
     "emvm_fused_dispatch_ratio": 0.65,
+    # Scheduler steps per ms of emvm compute inside a guest (pipe_micro's
+    # typeset guest under fast(), where only that guest steps the pool).
+    # A guest gives its pool thread up once per 1 ms host-time quantum,
+    # so this reads ~1; yielding at every 4096-instruction interrupt
+    # check, as before the quantum, read ~160.
+    "typeset_guest_steps_per_ms": 4.0,
 }
 
 # Absolute ceilings for the worker-pool scheduler's headline numbers,

@@ -26,6 +26,7 @@ BASELINE = {
     "structured_clone_64b_us": (0.1, "us"),
     "pipeline_ring_ms": (100.0, "ms"),
     "pipeline_ring_notifies_per_call": (0.25, "ratio"),
+    "typeset_guest_steps_per_ms": (1.0, "ratio"),
 }
 
 
@@ -86,6 +87,14 @@ class Gate(unittest.TestCase):
     def test_ratio_ceiling_fires(self):
         self.assertFailsOn("pipeline_ring_notifies_per_call",
                            pipeline_ring_notifies_per_call=0.9)
+
+    def test_per_check_yielding_fails_the_quantum_ceiling(self):
+        # A guest that yields at every interrupt check read ~160 steps
+        # per ms of compute; one yield per quantum reads ~1.
+        self.assertFailsOn("typeset_guest_steps_per_ms",
+                           typeset_guest_steps_per_ms=160.0)
+        self.assertEqual(self.gate(typeset_guest_steps_per_ms=1.3),
+                         (0, []))
 
     def test_threshold_argument(self):
         with tempfile.TemporaryDirectory() as res, \

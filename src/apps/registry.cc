@@ -19,6 +19,10 @@ ProgramRegistry::instance()
 void
 ProgramRegistry::add(ProgramSpec spec)
 {
+    {
+        std::lock_guard<std::mutex> lk(bundlesMutex_);
+        bundles_.erase(spec.name);
+    }
     specs_[spec.name] = std::move(spec);
 }
 
@@ -52,6 +56,16 @@ ProgramRegistry::bundleFor(const std::string &name) const
         }
     }
     return out;
+}
+
+bfs::BufferPtr
+ProgramRegistry::sharedBundle(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lk(bundlesMutex_);
+    bfs::BufferPtr &bundle = bundles_[name];
+    if (!bundle)
+        bundle = std::make_shared<bfs::Buffer>(bundleFor(name));
+    return bundle;
 }
 
 std::string

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "bfs/types.h"
@@ -50,12 +51,17 @@ class ProgramRegistry
 
     /** Executable file bytes for a registered program. */
     bfs::Buffer bundleFor(const std::string &name) const;
+    /** The same bytes, built once per process and shared by every caller
+     * (boot stages these, so instances do not each fill ~22 MB). */
+    bfs::BufferPtr sharedBundle(const std::string &name) const;
 
     /** Extract the program name from bundle bytes ("" if not a bundle). */
     static std::string programFromBundle(const bfs::Buffer &bytes);
 
   private:
     std::map<std::string, ProgramSpec> specs_;
+    mutable std::mutex bundlesMutex_;
+    mutable std::map<std::string, bfs::BufferPtr> bundles_;
 };
 
 /** Register every built-in program (idempotent). */

@@ -75,7 +75,7 @@ class InMemBackend::MemOpenFile : public OpenFile
             cb(EFBIG, 0);
             return;
         }
-        Buffer &d = *node_->data;
+        Buffer &d = writable();
         if (off + len > d.size())
             d.resize(off + len, 0);
         if (len > 0) // zero-length writes carry a null data pointer
@@ -94,7 +94,7 @@ class InMemBackend::MemOpenFile : public OpenFile
         // The source window (for syscalls: the guest heap) is consumed
         // directly into the resident node data — the single necessary
         // copy, with no intermediate Buffer on either side.
-        Buffer &d = *node_->data;
+        Buffer &d = writable();
         if (off + src.len > d.size())
             d.resize(off + src.len, 0);
         if (src.len > 0)
@@ -108,12 +108,22 @@ class InMemBackend::MemOpenFile : public OpenFile
     void
     ftruncate(uint64_t size, ErrCb cb) override
     {
-        node_->data->resize(size, 0);
+        writable().resize(size, 0);
         node_->mtimeUs = jsvm::nowUs();
         cb(0);
     }
 
   private:
+    /** The node's bytes, copied first if writeFile(path, BufferPtr)
+     * shared them with another holder. */
+    Buffer &
+    writable()
+    {
+        if (node_->data.use_count() > 1)
+            node_->data = std::make_shared<Buffer>(*node_->data);
+        return *node_->data;
+    }
+
     NodePtr node_;
 };
 
@@ -397,20 +407,32 @@ InMemBackend::writeFile(const std::string &path, const std::string &data)
 int
 InMemBackend::writeFile(const std::string &path, const Buffer &data)
 {
+    return writeFile(path, Buffer(data));
+}
+
+int
+InMemBackend::writeFile(const std::string &path, Buffer &&data)
+{
+    return writeFile(path, std::make_shared<Buffer>(std::move(data)));
+}
+
+int
+InMemBackend::writeFile(const std::string &path, BufferPtr data)
+{
     int rc = mkdirAll(dirname(path));
     if (rc != 0)
         return rc;
     int result = 0;
     open(path, flags::CREAT | flags::TRUNC | flags::WRONLY, 0644,
-         [&](int err, OpenFilePtr f) {
-             if (err) {
-                 result = err;
-                 return;
-             }
-             f->pwrite(0, data.data(), data.size(),
-                       [&](int werr, size_t) { result = werr; });
-         });
-    return result;
+         [&](int err, OpenFilePtr) { result = err; });
+    if (result != 0)
+        return result;
+    // open() created the node or truncated it in place (same inode); the
+    // buffer becomes its contents as it is.
+    NodePtr n = lookup(path);
+    n->data = std::move(data);
+    n->mtimeUs = jsvm::nowUs();
+    return 0;
 }
 
 int

@@ -43,9 +43,15 @@ class InMemBackend : public Backend
 
     /** Create all missing directories along path. */
     int mkdirAll(const std::string &path);
-    /** Write a whole file, creating parents as needed. */
+    /** Write a whole file, creating parents as needed. An existing file
+     * is truncated and keeps its inode. */
     int writeFile(const std::string &path, const std::string &data);
     int writeFile(const std::string &path, const Buffer &data);
+    /** Same, but `data` becomes the file's contents without a copy. */
+    int writeFile(const std::string &path, Buffer &&data);
+    /** Same, sharing `data` with its other holders: a write through the
+     * file copies the bytes first, so they never see it. */
+    int writeFile(const std::string &path, BufferPtr data);
     /** Read a whole file. */
     int readFile(const std::string &path, Buffer &out) const;
 

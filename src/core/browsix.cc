@@ -126,21 +126,23 @@ Browsix::stageSystem(const BootConfig &cfg)
     root.mkdirAll("/tmp");
     root.mkdirAll("/home");
 
-    root.writeFile("/bin/dash", reg.bundleFor("dash"));
+    // Bundles are shared with every other instance in the process; a
+    // write to one copies it first (InMemBackend::writeFile(BufferPtr)).
+    root.writeFile("/bin/dash", reg.sharedBundle("dash"));
     bool done = false;
     root.symlink("/bin/dash", "/bin/sh", [&done](int) { done = true; });
-    root.writeFile("/usr/bin/make", reg.bundleFor("make"));
+    root.writeFile("/usr/bin/make", reg.sharedBundle("make"));
     root.writeFile("/usr/bin/pdflatex",
-                   reg.bundleFor(cfg.pdflatexSync ? "pdflatex-sync"
-                                                  : "pdflatex-emterp"));
+                   reg.sharedBundle(cfg.pdflatexSync ? "pdflatex-sync"
+                                                     : "pdflatex-emterp"));
     root.writeFile("/usr/bin/bibtex",
-                   reg.bundleFor(cfg.pdflatexSync ? "bibtex-sync"
-                                                  : "bibtex-emterp"));
-    root.writeFile("/usr/bin/node", reg.bundleFor("node"));
-    root.writeFile("/usr/bin/els", reg.bundleFor("els"));
-    root.writeFile("/usr/bin/ecat", reg.bundleFor("ecat"));
-    root.writeFile("/usr/bin/meme-server", reg.bundleFor("meme-server"));
-    root.writeFile("/usr/bin/meme-httpd", reg.bundleFor("meme-httpd"));
+                   reg.sharedBundle(cfg.pdflatexSync ? "bibtex-sync"
+                                                     : "bibtex-emterp"));
+    root.writeFile("/usr/bin/node", reg.sharedBundle("node"));
+    root.writeFile("/usr/bin/els", reg.sharedBundle("els"));
+    root.writeFile("/usr/bin/ecat", reg.sharedBundle("ecat"));
+    root.writeFile("/usr/bin/meme-server", reg.sharedBundle("meme-server"));
+    root.writeFile("/usr/bin/meme-httpd", reg.sharedBundle("meme-httpd"));
 
     // Utilities: small scripts run by the node interpreter via shebang,
     // just as the paper stages them.

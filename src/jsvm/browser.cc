@@ -1,7 +1,6 @@
 #include "jsvm/browser.h"
 
-#include <chrono>
-#include <thread>
+#include <algorithm>
 
 #include "jsvm/util.h"
 
@@ -51,15 +50,19 @@ Browser::createWorker(const std::string &url, Worker::Main main)
 bool
 Browser::runUntil(const std::function<bool()> &pred, int64_t timeout_ms)
 {
+    // A post or a timer ends the wait at once. The bound remains because
+    // some predicates read state that pool threads change without posting
+    // to the main loop (a worker's run state, say).
+    constexpr int64_t kRecheckUs = 200;
     int64_t deadline = nowUs() + timeout_ms * 1000;
     for (;;) {
         mainLoop_.pump();
         if (pred())
             return true;
-        if (nowUs() >= deadline)
+        int64_t now = nowUs();
+        if (now >= deadline)
             return false;
-        if (!mainLoop_.pumpOne(false))
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        mainLoop_.waitForWork(std::min(deadline, now + kRecheckUs));
     }
 }
 

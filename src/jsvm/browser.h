@@ -54,7 +54,9 @@ class Browser
                                          Worker::Main main);
 
     /**
-     * Pump the main loop on the calling thread until pred() holds.
+     * Pump the main loop on the calling thread until pred() holds. In
+     * between it waits on the loop: a post or a timer ends the wait at
+     * once, and pred() is re-checked at least every 200 µs.
      *
      * @return true if pred became true before timeout_ms elapsed.
      */

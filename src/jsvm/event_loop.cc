@@ -1,5 +1,6 @@
 #include "jsvm/event_loop.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -97,20 +98,31 @@ EventLoop::takeTask(Task &out, bool wait)
         }
         if (!wait)
             return false;
-        // Sleep until the next timer is due or something is posted.
-        int64_t next = std::numeric_limits<int64_t>::max();
-        for (const auto &[id, t] : timers_)
-            next = std::min(next, t.due_us);
-        if (next == std::numeric_limits<int64_t>::max()) {
-            cv_.wait(lk);
-        } else {
-            int64_t now = nowUs();
-            if (next > now) {
-                cv_.wait_for(lk,
-                             std::chrono::microseconds(next - now));
-            }
-        }
+        waitLocked(lk, std::numeric_limits<int64_t>::max());
     }
+}
+
+void
+EventLoop::waitLocked(std::unique_lock<std::mutex> &lk, int64_t until_us)
+{
+    int64_t wake = until_us;
+    for (const auto &[id, t] : timers_)
+        wake = std::min(wake, t.due_us);
+    if (wake == std::numeric_limits<int64_t>::max()) {
+        cv_.wait(lk);
+        return;
+    }
+    int64_t now = nowUs();
+    if (wake > now)
+        cv_.wait_for(lk, std::chrono::microseconds(wake - now));
+}
+
+void
+EventLoop::waitForWork(int64_t until_us)
+{
+    std::unique_lock<std::mutex> lk(mutex_);
+    if (queue_.empty())
+        waitLocked(lk, until_us);
 }
 
 bool

@@ -54,6 +54,14 @@ class EventLoop
     /** Drain all currently-ready tasks (and due timers); returns count. */
     size_t pump();
 
+    /**
+     * Block until a task is posted or a timer is set (from any thread),
+     * the soonest pending timer falls due, or nowUs() reaches until_us,
+     * whichever comes first. Returns at once when a task is already
+     * queued; may return early (spurious wake), so callers re-check.
+     */
+    void waitForWork(int64_t until_us);
+
     /** True when no tasks are queued and no timers are pending. */
     bool idle() const;
 
@@ -76,6 +84,9 @@ class EventLoop
 
     // Pop one ready task; with wait, blocks until one is ready.
     bool takeTask(Task &out, bool wait);
+    // Sleep until a post or setTimeout notifies, the soonest timer is
+    // due, or until_us (INT64_MAX: no bound), whichever comes first.
+    void waitLocked(std::unique_lock<std::mutex> &lk, int64_t until_us);
     void promoteDueTimersLocked(int64_t now);
 
     mutable std::mutex mutex_;

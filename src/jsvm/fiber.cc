@@ -37,6 +37,11 @@ namespace {
 
 thread_local Fiber *tCurrentFiber = nullptr;
 
+/// Host time a fiber may run before maybeYield() hands its pool thread
+/// back: the millisecond granularity at which an OS preempts a Web
+/// Worker's thread, not the µs cadence of emvm's interrupt checks.
+constexpr std::chrono::microseconds kQuantum{1000};
+
 size_t
 defaultStackBytes()
 {
@@ -172,6 +177,7 @@ Fiber::resume()
         makecontext(&ctx_, &Fiber::trampoline, 0);
     }
     tCurrentFiber = this;
+    resumedAt_ = std::chrono::steady_clock::now();
 #if defined(BROWSIX_TSAN)
     tsanCaller_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(tsanFiber_, 0);
@@ -218,7 +224,8 @@ Fiber::yieldNow()
 void
 Fiber::maybeYield()
 {
-    if (tCurrentFiber)
+    Fiber *f = tCurrentFiber;
+    if (f && std::chrono::steady_clock::now() - f->resumedAt_ >= kQuantum)
         yieldNow();
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -93,8 +94,16 @@ class Fiber
     /** Cooperatively yield: switch out but stay runnable (FIFO re-queue). */
     static void yieldNow();
 
-    /** yieldNow() iff the caller is running inside a fiber; else no-op.
-     * Compute-bound guest loops call this for pool fairness. */
+    /**
+     * yieldNow() once the calling fiber has held its host thread for a
+     * full quantum (1 ms of host steady-clock time since resume()); a
+     * no-op before that and outside a fiber. Compute-bound guest loops
+     * call this at their interrupt checks for pool fairness: emvm tests
+     * its interrupt token every 4096 instructions (a few µs) but gives
+     * up the pool thread only once per quantum, as an OS preempts a
+     * Web Worker's thread. The quantum is host time, not jsvm::nowUs(),
+     * so a frozen TestClock cannot stop the yields.
+     */
     static void maybeYield();
 
   private:
@@ -109,6 +118,7 @@ class Fiber
     std::atomic<bool> finished_{false};
     bool parkIntent_ = false;
     bool started_ = false;
+    std::chrono::steady_clock::time_point resumedAt_; // quantum start
 
     uint8_t *stackBase_ = nullptr; // mmap base (guard page first)
     size_t stackMapBytes_ = 0;     // total mapping incl. guard page

@@ -6,8 +6,11 @@
  * Decouples "process" from "thread" (ROADMAP item 1): every guest process
  * is a queue item, not a thread pair, so 10k+ live processes share
  * hardware_concurrency host threads. FIFO ordering gives starvation
- * freedom at worker granularity — a CPU-bound guest yields at the end of
- * its step and re-queues behind everyone else.
+ * freedom at worker granularity: a guest that blocks ends its step at
+ * once, and a compute-bound one ends it when its fiber's host-time
+ * quantum (1 ms, jsvm::Fiber::maybeYield) is spent, then re-queues
+ * behind everyone else. A step is thus a block point or a quantum, never
+ * a few µs of compute.
  */
 #pragma once
 

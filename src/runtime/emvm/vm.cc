@@ -351,8 +351,9 @@ Vm::runBase(jsvm::InterruptToken *token, bool stopAtLeader,
             check = 0;
             if (token && token->interrupted())
                 throw jsvm::WorkerTerminated{};
-            // Pooled execution: give the scheduler a time-slice boundary so
-            // a compute-bound guest cannot monopolize a pool thread.
+            // Pooled execution: a time-slice boundary. The fiber gives its
+            // pool thread up once its host-time quantum is spent, so a
+            // compute-bound guest cannot monopolize it.
             jsvm::Fiber::maybeYield();
         }
         Frame &fr = frames_.back();

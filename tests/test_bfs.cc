@@ -16,6 +16,7 @@
 #include "bfs/overlay.h"
 #include "bfs/path.h"
 #include "bfs/vfs.h"
+#include "jsvm/test_clock.h"
 #include "jsvm/util.h"
 
 using namespace browsix;
@@ -211,6 +212,98 @@ TEST(InMem, TruncClearsContent)
     std::string got;
     readWhole(fs, "/f", got);
     EXPECT_EQ(got, "x");
+}
+
+TEST(InMem, MovingWriteFileCreatesParentsAndTakesTheBuffer)
+{
+    jsvm::TestClock clock(5000);
+    InMemBackend fs;
+    Buffer data{'b', 'u', 'n', 'd', 'l', 'e'};
+    ASSERT_EQ(fs.writeFile("/usr/lib/x/f", std::move(data)), 0);
+    EXPECT_TRUE(data.empty()) << "the buffer must be moved, not copied";
+    Stat dir;
+    ASSERT_EQ(statOf(fs, "/usr/lib/x", &dir), 0);
+    EXPECT_EQ(dir.type, FileType::Directory);
+    std::string got;
+    ASSERT_EQ(readWhole(fs, "/usr/lib/x/f", got), 0);
+    EXPECT_EQ(got, "bundle");
+    Stat st;
+    ASSERT_EQ(statOf(fs, "/usr/lib/x/f", &st), 0);
+    EXPECT_EQ(st.size, 6u);
+    EXPECT_EQ(st.mtimeUs, 5000);
+    EXPECT_EQ(st.ctimeUs, 5000);
+}
+
+TEST(InMem, MovingWriteFileTruncatesInPlaceLikeTheCopyingOne)
+{
+    jsvm::TestClock clock(5000);
+    InMemBackend fs;
+    ASSERT_EQ(fs.writeFile("/f", std::string("a much longer old body")), 0);
+    Stat before;
+    ASSERT_EQ(statOf(fs, "/f", &before), 0);
+    OpenFilePtr held; // an open descriptor sees the new contents
+    fs.open("/f", flags::RDONLY, 0, [&](int, OpenFilePtr f) { held = f; });
+    ASSERT_TRUE(held);
+
+    clock.advanceUs(700);
+    ASSERT_EQ(fs.writeFile("/f", Buffer{'n', 'e', 'w'}), 0);
+    Stat after;
+    ASSERT_EQ(statOf(fs, "/f", &after), 0);
+    EXPECT_EQ(after.ino, before.ino) << "an overwrite keeps the inode";
+    EXPECT_EQ(after.size, 3u);
+    EXPECT_EQ(after.mtimeUs, 5700);
+    EXPECT_EQ(after.ctimeUs, before.ctimeUs);
+    std::string got;
+    ASSERT_EQ(readWhole(fs, "/f", got), 0);
+    EXPECT_EQ(got, "new");
+    held->pread(0, 64, [&](int err, BufferPtr d) {
+        EXPECT_EQ(err, 0);
+        EXPECT_EQ(std::string(d->begin(), d->end()), "new");
+    });
+
+    // The copying overload behaves the same way and leaves its source.
+    clock.advanceUs(300);
+    const Buffer copy{'c', 'p'};
+    ASSERT_EQ(fs.writeFile("/f", copy), 0);
+    ASSERT_EQ(statOf(fs, "/f", &after), 0);
+    EXPECT_EQ(after.ino, before.ino);
+    EXPECT_EQ(after.mtimeUs, 6000);
+    EXPECT_EQ(copy.size(), 2u);
+    ASSERT_EQ(readWhole(fs, "/f", got), 0);
+    EXPECT_EQ(got, "cp");
+
+    EXPECT_EQ(fs.writeFile("/", Buffer{'x'}), EISDIR);
+}
+
+TEST(InMem, SharedWriteFileCopiesOnTheFirstWrite)
+{
+    // Boot stages one bundle buffer into every instance; a write through
+    // any of them (pwrite, pwriteFrom, ftruncate) must reach that file
+    // alone.
+    auto bytes = std::make_shared<Buffer>(Buffer{'b', 'i', 'n', 's'});
+    InMemBackend a, b, c;
+    for (InMemBackend *fs : {&a, &b, &c})
+        ASSERT_EQ(fs->writeFile("/usr/bin/x", bytes), 0);
+    auto writeThrough = [](InMemBackend &fs, auto op) {
+        fs.open("/usr/bin/x", flags::WRONLY, 0, [&](int err, OpenFilePtr f) {
+            ASSERT_EQ(err, 0);
+            op(*f);
+        });
+    };
+    const uint8_t z[] = {'Z', 'Z'};
+    writeThrough(a, [&](OpenFile &f) { f.pwrite(0, z, 1, [](int, size_t) {}); });
+    writeThrough(b, [&](OpenFile &f) {
+        f.pwriteFrom(2, ConstByteSpan{z, 2}, [](int, size_t) {});
+    });
+    writeThrough(c, [](OpenFile &f) { f.ftruncate(1, [](int) {}); });
+    std::string got;
+    ASSERT_EQ(readWhole(a, "/usr/bin/x", got), 0);
+    EXPECT_EQ(got, "Zins");
+    ASSERT_EQ(readWhole(b, "/usr/bin/x", got), 0);
+    EXPECT_EQ(got, "biZZ");
+    ASSERT_EQ(readWhole(c, "/usr/bin/x", got), 0);
+    EXPECT_EQ(got, "b");
+    EXPECT_EQ(std::string(bytes->begin(), bytes->end()), "bins");
 }
 
 TEST(InMem, PreadBeyondEofIsEmpty)

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "jsvm/browser.h"
 #include "jsvm/cost_model.h"
@@ -176,6 +179,25 @@ TEST(EventLoop, CrossThreadPostWakesBlockingPump)
     EXPECT_TRUE(loop.pumpOne(true)) << "the post must end the wait";
     t.join();
     EXPECT_TRUE(ran);
+}
+
+TEST(EventLoop, CrossThreadPostEndsABoundedWaitEarly)
+{
+    // Browser::runUntil waits between passes with waitForWork: a post
+    // from another thread must end the wait at once, not at its bound.
+    EventLoop loop;
+    std::thread t([&]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        loop.post([]() {});
+    });
+    auto t0 = std::chrono::steady_clock::now();
+    while (loop.idle()) // a spurious wake-up only goes round again
+        loop.waitForWork(nowUs() + 30ll * 1000 * 1000);
+    auto waited = std::chrono::steady_clock::now() - t0;
+    t.join();
+    EXPECT_LT(waited, std::chrono::seconds(15))
+        << "the post must end a 30 s wait early";
+    EXPECT_EQ(loop.pump(), 1u);
 }
 
 TEST(EventLoop, IdleReflectsQueueAndTimers)
@@ -533,6 +555,100 @@ TEST_F(WorkerTest, TerminatedWorkerDropsMessages)
     w->postMessage(Value(1));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_EQ(received, 0);
+}
+
+namespace {
+
+/** One quantum of a pooled guest: how often it called maybeYield() and
+ * how much host time it spanned. */
+struct Quantum
+{
+    int64_t calls = 0;
+    int64_t hostUs = 0;
+};
+
+/**
+ * Run a pooled guest that calls Fiber::maybeYield() in a loop beside a
+ * second guest that counts its own turns, and return the first guest's
+ * first `n` full quanta. The worker resumes the first guest first, so
+ * every turn of the second one marks one yield of the first. A quantum's
+ * host time runs from the start of the maybeYield() call that ended the
+ * previous quantum (before the switch-out, so before the resume that
+ * starts the next quantum) to the return of the call that ends it.
+ */
+std::vector<Quantum>
+sampleQuanta(size_t n)
+{
+    using Clock = std::chrono::steady_clock;
+    auto sched = std::make_shared<browsix::kernel::Scheduler>(2);
+    Browser browser;
+    browser.setExecutor(sched);
+    auto turns = std::make_shared<std::atomic<int>>(0);
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    auto quanta = std::make_shared<std::vector<Quantum>>();
+    std::string url = browser.blobs().createObjectUrl(bytes({'x'}));
+    // A guest that never yields must end the test, not hang it.
+    const Clock::time_point until = Clock::now() + std::chrono::seconds(30);
+    auto w = browser.createWorker(url, [=](WorkerScope &scope, auto) {
+        scope.startGuest([=]() {
+            int seen = *turns;
+            Quantum q;
+            std::optional<Clock::time_point> start;
+            while (quanta->size() < n && Clock::now() < until) {
+                Clock::time_point call = Clock::now();
+                Fiber::maybeYield();
+                q.calls++;
+                if (*turns == seen)
+                    continue;
+                seen = *turns;
+                if (start) {
+                    q.hostUs = std::chrono::duration_cast<
+                                   std::chrono::microseconds>(
+                                   Clock::now() - *start)
+                                   .count();
+                    quanta->push_back(q);
+                }
+                start = call;
+                q = Quantum{};
+            }
+            *done = true;
+        });
+        scope.startGuest([=]() {
+            while (!*done) {
+                ++*turns;
+                Fiber::yieldNow();
+            }
+        });
+    });
+    while (!*done && Clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    browser.terminateAll();
+    sched->shutdown();
+    return *done ? *quanta : std::vector<Quantum>{};
+}
+
+void
+expectFullQuanta(const std::vector<Quantum> &quanta)
+{
+    ASSERT_EQ(quanta.size(), 3u) << "the guest never yielded";
+    for (const Quantum &q : quanta) {
+        EXPECT_GT(q.calls, 1) << "maybeYield() yielded before the quantum";
+        EXPECT_GE(q.hostUs, 1000) << "a quantum is 1 ms of host time";
+    }
+}
+
+} // namespace
+
+TEST(FiberQuantum, MaybeYieldWaitsForAFullQuantumOfHostTime)
+{
+    expectFullQuanta(sampleQuanta(3));
+}
+
+TEST(FiberQuantum, FrozenTestClockCannotStopTheYields)
+{
+    // Declared first, so the pool is gone before the clock is.
+    TestClock clock;
+    expectFullQuanta(sampleQuanta(3));
 }
 
 TEST(BrowserDeathTest, CreateWorkerWithoutExecutorPanics)

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 
 #include "apps/make/make.h"
@@ -511,14 +513,17 @@ TEST(TypesetKernel, InterpretationIsSlowerThanNative)
 {
     const emvm::Image &img = apps::typesetImage();
     int64_t iters = 400000;
-    int64_t t0 = jsvm::nowUs();
-    apps::typesetNative(7, iters);
-    int64_t native_us = jsvm::nowUs() - t0;
-    Vm vm(img);
-    vm.start("typeset", {7, iters});
-    t0 = jsvm::nowUs();
-    vm.run();
-    int64_t interp_us = jsvm::nowUs() - t0;
+    int64_t native_us = INT64_MAX, interp_us = INT64_MAX;
+    for (int run = 0; run < 3; run++) { // best of three, interleaved
+        int64_t t0 = jsvm::nowUs();
+        apps::typesetNative(7, iters);
+        native_us = std::min(native_us, jsvm::nowUs() - t0);
+        Vm vm(img);
+        vm.start("typeset", {7, iters});
+        t0 = jsvm::nowUs();
+        vm.run();
+        interp_us = std::min(interp_us, jsvm::nowUs() - t0);
+    }
     EXPECT_GT(interp_us, native_us * 3)
         << "the Emterpreter tax must be real (native " << native_us
         << "us vs interpreted " << interp_us << "us)";

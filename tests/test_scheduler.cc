@@ -5,8 +5,9 @@
  * introspection, FIFO fairness under a single pool thread, SIGKILL of a
  * task that never reached a pool thread, the per-tenant NPROC quota
  * (the fork-bomb fence), Kernel::system surfacing spawn failures
- * instead of panicking, and asynchronous worker boot (construction and
- * parse paid by the new worker, not the kernel loop).
+ * instead of panicking, asynchronous worker boot (construction and
+ * parse paid by the new worker, not the kernel loop), and the host-time
+ * quantum of compute-bound emvm guests.
  */
 #include <gtest/gtest.h>
 
@@ -20,9 +21,11 @@
 #include <vector>
 
 #include "apps/registry.h"
+#include "apps/tex/tex.h"
 #include "core/browsix.h"
 #include "jsvm/test_clock.h"
 #include "jsvm/util.h"
+#include "runtime/emvm/assembler.h"
 #include "tests/test_util.h"
 
 using namespace browsix;
@@ -562,4 +565,93 @@ TEST(Scheduler, BootDelayElapsesAsVirtualTimeUnderTestClock)
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.exitCode(), 0);
     EXPECT_GE(ran->load() - t0, kBootUs);
+}
+
+// ---------- the host-time quantum ----------
+
+TEST(Scheduler, ComputeBoundEmvmGuestTakesOneStepPerQuantum)
+{
+    // An emvm guest tests its interrupt token every 4096 instructions (a
+    // few µs) but gives its pool thread up only once its 1 ms host-time
+    // quantum is spent: a long typeset run costs at most one scheduler
+    // step per ms of guest compute, plus a fixed allowance for boot, the
+    // output write and exit.
+    addProgram("sched-typeset", [](rt::EmEnv &env) -> int {
+        int64_t t0 = jsvm::nowUs();
+        env.runInterpreted(apps::typesetImage(), "typeset", {7, 4000000});
+        int64_t guest_ms = (jsvm::nowUs() - t0) / 1000;
+        env.write(1, std::to_string(guest_ms) + "\n");
+        return 0;
+    });
+    Browsix bx;
+    stage(bx, "sched-typeset");
+    const uint64_t before = bx.kernel().scheduler().steps();
+    auto r = bx.runArgv({"/usr/bin/sched-typeset"}, 120000);
+    const uint64_t steps = bx.kernel().scheduler().steps() - before;
+    ASSERT_TRUE(r.ok);
+    ASSERT_EQ(r.exitCode(), 0);
+    const int64_t guest_ms = std::stoll(r.out);
+    EXPECT_LE(static_cast<int64_t>(steps), guest_ms + 64)
+        << steps << " scheduler steps for " << guest_ms
+        << " ms of guest compute: the guest yields more than once per "
+           "quantum";
+}
+
+TEST(Scheduler, SingleThreadPoolServesOthersBesideASpinningEmvmGuest)
+{
+    // A never-parking emvm guest (`jmp loop`) holds the only pool thread
+    // one quantum at a time, so a newcomer still runs to completion
+    // beside it, and SIGKILL still reaps the spinner.
+    emvm::Image spin;
+    std::string err;
+    ASSERT_TRUE(emvm::assemble(R"(
+.memory 64
+.data 0 "spin\n"
+.func main 0 0
+    push 4
+    push 1
+    push 0
+    push 5
+    syscall 3
+    pop
+loop:
+    jmp loop
+.end
+)",
+                               spin, err))
+        << err;
+    addProgram("sched-visitor", [](rt::EmEnv &env) -> int {
+        return env.getpid() > 0 ? 0 : 1;
+    });
+    Browsix bx;
+    bx.kernel().setPoolThreads(1);
+    auto bytes = spin.serialize();
+    bx.rootFs().writeFile("/usr/bin/spin-em",
+                          bfs::Buffer(bytes.begin(), bytes.end()));
+    stage(bx, "sched-visitor");
+
+    std::string out;
+    bool exited = false;
+    int status = 0, pid = 0;
+    bx.kernel().spawnRoot(
+        {"/usr/bin/spin-em"}, bx.kernel().defaultEnv, "/",
+        [&](int st) {
+            status = st;
+            exited = true;
+        },
+        [&](const bfs::Buffer &d) { out.append(d.begin(), d.end()); },
+        nullptr, [&](int p) { pid = p; });
+    ASSERT_TRUE(bx.runUntil(
+        [&]() { return out.find("spin") != std::string::npos; }, 30000))
+        << "the spinner never reached its loop";
+
+    auto r = bx.runArgv({"/usr/bin/sched-visitor"}, 60000);
+    EXPECT_TRUE(r.ok) << "the spinning guest starved the pool thread";
+    EXPECT_EQ(r.exitCode(), 0);
+    EXPECT_EQ(bx.kernel().taskCount(), 1u) << "the spinner must still be live";
+
+    EXPECT_EQ(bx.kernel().kill(pid, sys::SIGKILL), 0);
+    ASSERT_TRUE(bx.runUntil([&]() { return exited; }, 30000))
+        << "SIGKILL must unwind the spinning guest";
+    EXPECT_EQ(sys::wtermsig(status), sys::SIGKILL);
 }
